@@ -1,9 +1,16 @@
-"""Small number-theoretic helpers: totient, divisors, exact binomials."""
+"""Small number-theoretic helpers: totient, divisors, exact binomials,
+and the integer-argument check shared by the public counting functions."""
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+
+def check_int(name: str, value) -> None:
+    """Reject bool and non-int arguments with a TypeError naming them."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .numtheory import binomial, divisors, euler_phi
+from .numtheory import binomial, check_int, divisors, euler_phi
 
 UP = "U"
 RIGHT = "R"
@@ -30,6 +30,7 @@ EXHAUSTIVE_PATH_CAP = 14
 
 def plane_tree_count(n: int) -> int:
     """T(n): plane trees with n edges, distinct up to root rotation."""
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"plane_tree_count needs n >= 1, got {n}")
     total = 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bridges
+from treebridges import bridges, series, trees
 
 # graphical bridge counts by half-length, starting at the empty bridge
 BRIDGE_COUNTS = (1, 2, 4, 8, 17, 38, 92, 236, 643, 1834)
@@ -86,6 +86,49 @@ def test_enumerate_bridges_shape():
 
 def test_graphical_bridge_counts_frozen_row():
     assert bridges.graphical_bridge_counts(9) == BRIDGE_COUNTS
+
+
+@pytest.mark.parametrize("n", [40, 23, 9])
+def test_graphical_bridge_counts_prefix_consistent(n):
+    # the prune depends on n_max, yet every shorter count must stay exact
+    full = bridges.graphical_bridge_counts(n)
+    for m in (0, 1, n // 3, n // 2, n - 1):
+        assert bridges.graphical_bridge_counts(m) == full[: m + 1]
+
+
+def test_graphical_bridge_counts_match_tree_formula_at_80():
+    # independent route: b is the inverse log transform of 2T
+    star = [2 * trees.plane_tree_count(n) for n in range(1, 81)]
+    assert list(bridges.graphical_bridge_counts(80)) == series.inverse_log_transform(star)
+
+
+def test_bridge_layers_keep_every_state_a_bridge_visits(graphical_bridges_by_n):
+    for n, found in graphical_bridges_by_n.items():
+        layers = list(bridges.bridge_layers(n))
+        assert len(layers) == n + 1
+        for b in found:
+            height = sigma = 0
+            for k in range(1, n + 1):
+                height += b[2 * k - 2] + b[2 * k - 1]
+                sigma += height // 2
+                assert (height, sigma) in layers[k]
+
+
+def test_graphical_bridge_counts_cap():
+    with pytest.raises(ValueError, match="capped"):
+        bridges.graphical_bridge_counts(bridges.BRIDGE_DP_CAP + 1)
+
+
+def test_graphical_bridge_counts_rejects_non_int():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n_max"):
+            bridges.graphical_bridge_counts(bad)
+
+
+def test_count_graphical_bridges_rejects_non_int():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            bridges.count_graphical_bridges(bad)
 
 
 def test_count_matches_enumeration(graphical_bridges_by_n):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from treebridges import cli
+from treebridges import bridges, cli
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,15 @@ def test_tables_cap_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "tables", "--which", "G", "--n-max", "50")
     assert code == 2
     assert "capped" in err and "14" in err
+
+
+def test_bridge_tables_cap_is_a_usage_error(capsys):
+    for which in ("B", "irreducible"):
+        n = str(bridges.BRIDGE_DP_CAP + 1)
+        code, out, err = run_cli(capsys, "tables", "--which", which, "--n-max", n)
+        assert code == 2
+        assert out == ""
+        assert "capped" in err and str(bridges.BRIDGE_DP_CAP) in err
 
 
 def test_tables_json_uses_string_values(capsys):

@@ -93,3 +93,9 @@ def test_count_paths_by_final_step_split():
 def test_bruteforce_cap_enforced():
     with pytest.raises(ValueError):
         trees.count_paths_area_divisible_bruteforce(trees.EXHAUSTIVE_PATH_CAP + 1)
+
+
+def test_plane_tree_count_rejects_non_int():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            trees.plane_tree_count(bad)

@@ -132,6 +132,32 @@ def test_sampler_uniform_n5_chi_square(graphical_bridges_by_n):
     assert result.pvalue > 0.001
 
 
+def test_sampler_support_n6_is_every_graphical_bridge():
+    rng = random.Random(6)
+    drawn = {
+        walks_mc.sample_uniform_graphical_bridge(6, rng.getrandbits(64)) for _ in range(3000)
+    }
+    assert drawn == set(bridges.enumerate_graphical_bridges(6))
+
+
+def test_sampler_draw_does_not_depend_on_table_size(monkeypatch):
+    # layers built for a larger n hold the same weights for a smaller one
+    monkeypatch.setattr(walks_mc, "_layers", ())
+    own = [walks_mc.sample_uniform_graphical_bridge(14, seed) for seed in range(30)]
+    assert len(walks_mc._layers) == 15
+    walks_mc.sample_uniform_graphical_bridge(30, 0)
+    assert len(walks_mc._layers) == 31
+    assert [walks_mc.sample_uniform_graphical_bridge(14, seed) for seed in range(30)] == own
+
+
+def test_sampler_rejects_non_int():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            walks_mc.sample_uniform_graphical_bridge(bad, 0)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            walks_mc.sample_uniform_graphical_bridge(3, bad)
+
+
 def test_sampler_output_always_graphical():
     for seed in range(200):
         b = walks_mc.sample_uniform_graphical_bridge(12, seed)
