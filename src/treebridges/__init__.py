@@ -36,6 +36,7 @@ from .constants import (
 from .graphseq import (
     all_graph_degree_sequences,
     count_graphical_sequences,
+    graphical_sequence_counts,
     is_graphical_sequence,
     ratio_table,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "gamma_prefactor",
     "gamma_three_quarters",
     "graphical_bridge_counts",
+    "graphical_sequence_counts",
     "inverse_log_transform",
     "irreducible_bridge_counts",
     "irreducible_decomposition",

@@ -205,13 +205,14 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
 
     The prune drops a state when sigma plus the least area that the
     remaining n_max - k blocks can add on the way back to height 0 is
-    still positive: its area can never return to 0.  A state that can
-    close is never dropped, nor is any state on a prefix leading to it,
-    so its count is the unpruned count.  (The test ignores the sign
-    constraint on the way back, so a few dead states survive one more
-    layer.)  The mixed block holds (0, 0) fixed, so (0, 0) can close
-    from every layer: the counts for all lengths up to 2*n_max are
-    exact, not only the last.  Callers validate n_max.
+    still positive: its area can never return to 0.  Below height 0 it
+    also drops a state at half-height -(j+1) with sigma < j(j+1)/2: the
+    climb back passes half-heights -j, ..., -1 and would drive an
+    even-prefix area negative.  A state that can close is never
+    dropped, nor is any state on a prefix leading to it, so its count is
+    the unpruned count.  The mixed block holds (0, 0) fixed, so (0, 0)
+    can close from every layer: the counts for all lengths up to
+    2*n_max are exact, not only the last.  Callers validate n_max.
     """
     floor = _closing_area_floor(n_max)
     states = {(0, 0): 1}
@@ -223,8 +224,12 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
         for (height, sigma), ways in states.items():
             for dh, weight in _BLOCKS:
                 h2 = height + dh
-                s2 = sigma + h2 // 2
-                if s2 < 0 or s2 > room[h2 // 2 + n_max]:
+                half = h2 // 2
+                s2 = sigma + half
+                if s2 < 0 or s2 > room[half + n_max]:
+                    continue
+                # the way back up from half < 0 first adds half+1, ..., -1
+                if half < 0 and s2 < half * (half + 1) // 2:
                     continue
                 key = (h2, s2)
                 if key in nxt:
@@ -235,6 +240,11 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
         yield states
 
 
+# the longest table graphical_bridge_counts has built; every shorter
+# table is a prefix of it
+_longest_counts: tuple = ()
+
+
 # typed, so that True is not served the cached entry for 1
 @lru_cache(maxsize=None, typed=True)
 def graphical_bridge_counts(n_max: int) -> tuple:
@@ -243,12 +253,26 @@ def graphical_bridge_counts(n_max: int) -> tuple:
     Reads the (0, 0) entry of each layer of bridge_layers, holding one
     layer at a time.
     """
+    global _longest_counts
     check_int("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"graphical_bridge_counts needs n_max >= 0, got {n_max}")
     if n_max > BRIDGE_DP_CAP:
         raise ValueError(f"bridge DP capped at n = {BRIDGE_DP_CAP}, got {n_max}")
-    return tuple(layer.get((0, 0), 0) for layer in bridge_layers(n_max))
+    counts = tuple(layer.get((0, 0), 0) for layer in bridge_layers(n_max))
+    if len(counts) > len(_longest_counts):
+        _longest_counts = counts
+    return counts
+
+
+def bridge_counts_covering(n: int) -> tuple:
+    """A graphical-bridge count table with more than n entries: the
+    longest one graphical_bridge_counts has built, building the one for
+    n first if none is that long.  Callers that only index up to n share
+    one DP run across every n up to the largest asked so far."""
+    if len(_longest_counts) <= n:
+        graphical_bridge_counts(n)
+    return _longest_counts
 
 
 def count_graphical_bridges(n: int) -> int:

@@ -35,7 +35,7 @@ def _table_rows(which: str, n_max: int):
     """Header and rows for one table; raises ValueError past a cap."""
     if which == "G" and n_max > graphseq.COUNT_CAP:
         raise ValueError(
-            f"table G is capped at n = {graphseq.COUNT_CAP} (enumeration cost), got {n_max}"
+            f"table G is capped at n = {graphseq.COUNT_CAP} (Frobenius DP cost), got {n_max}"
         )
     if which in ("N", "Nprime") and n_max > _DIVISIBLE_AREA_CAP:
         raise ValueError(
@@ -62,9 +62,8 @@ def _table_rows(which: str, n_max: int):
             (n, bridges.count_bridges_area_divisible(n)) for n in range(1, n_max + 1)
         ]
     if which == "G":
-        return ("n", "value"), [
-            (n, graphseq.count_graphical_sequences(n)) for n in range(1, n_max + 1)
-        ]
+        vals = graphseq.graphical_sequence_counts(n_max)
+        return ("n", "value"), [(n, vals[n]) for n in range(1, n_max + 1)]
     if which == "irreducible":
         irr = series.irreducible_bridge_counts(list(bridges.graphical_bridge_counts(n_max)))
         return ("n", "value"), [(n, irr[n]) for n in range(1, n_max + 1)]

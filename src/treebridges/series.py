@@ -14,9 +14,8 @@ irreducible parts of a uniform graphical bridge.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .bridges import graphical_bridge_counts
+from .bridges import bridge_counts_covering, graphical_bridge_counts
 from .trees import plane_tree_count
 
 
@@ -61,10 +60,18 @@ def irreducible_bridge_counts(b: list) -> list:
     return [0] + [-c for c in recip[1:]]
 
 
-@lru_cache(maxsize=None)
+# bridge counts and their irreducible counts, for the longest bridge
+# table seen; both are stable under taking prefixes
+_longest_tables: tuple[tuple, tuple] = ((), ())
+
+
 def _tables(n: int) -> tuple[tuple, tuple]:
-    b = graphical_bridge_counts(n)
-    return b, tuple(irreducible_bridge_counts(list(b)))
+    """Bridge and irreducible counts through at least length 2n."""
+    global _longest_tables
+    b = bridge_counts_covering(n)
+    if len(b) != len(_longest_tables[0]):
+        _longest_tables = (b, tuple(irreducible_bridge_counts(list(b))))
+    return _longest_tables
 
 
 def parts_count_distribution(n: int) -> dict[int, Fraction]:

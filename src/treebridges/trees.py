@@ -103,54 +103,36 @@ def enumerate_lattice_paths(n: int) -> Iterator[tuple[str, ...]]:
 
 
 def count_paths_area_divisible(n: int) -> int:
-    """Paths (0,0) -> (n,n) with area divisible by n, counted by DP.
+    """Paths (0,0) -> (n,n) with area divisible by n, counted by DP."""
+    return sum(count_paths_by_final_step(n))
 
-    State is (current column, height, area mod n).  Entering column x by
-    a Right step at height y adds y to the area; Up steps within a
-    column leave it unchanged, so each column is a residue-rotation
-    followed by a running sum over heights.
+
+def count_paths_by_final_step(n: int) -> tuple[int, int]:
+    """Paths (0,0) -> (n,n) with area divisible by n, counted by DP and
+    split by the path's last step.
+
+    Returns (count ending in Up, count ending in Right).  State is
+    (current column, height, area mod n).  Entering column x by a Right
+    step at height y adds y to the area; Up steps within a column leave
+    it unchanged, so each column is a residue-rotation followed by a
+    running sum over heights.  A path ends in Right exactly when its
+    final Right step lands at height n.
     """
     if n < 1:
-        raise ValueError(f"count_paths_area_divisible needs n >= 1, got {n}")
+        raise ValueError(f"divisible-area path count needs n >= 1, got {n}")
     # column 0: the all-Up prefix to height y, area 0
     col = [[0] * n for _ in range(n + 1)]
     for y in range(n + 1):
         col[y][0] = 1
-    for _x in range(1, n + 1):
+    for _ in range(n):
         nxt = []
         for y in range(n + 1):
             row = col[y]
             shift = y % n
             # Right step into this column at height y: residue r -> r + y
             nxt.append(row[-shift:] + row[:-shift] if shift else row[:])
-        for y in range(1, n + 1):
-            below, here = nxt[y - 1], nxt[y]
-            for r in range(n):
-                here[r] += below[r]
-        col = nxt
-    return col[n][0]
-
-
-def count_paths_by_final_step(n: int) -> tuple[int, int]:
-    """Like count_paths_area_divisible, split by the path's last step.
-
-    Returns (count ending in Up, count ending in Right).  A path ends in
-    Right exactly when its final Right step lands at height n.
-    """
-    if n < 1:
-        raise ValueError(f"count_paths_by_final_step needs n >= 1, got {n}")
-    col = [[0] * n for _ in range(n + 1)]
-    for y in range(n + 1):
-        col[y][0] = 1
-    ending_right = 0
-    for x in range(1, n + 1):
-        nxt = []
-        for y in range(n + 1):
-            row = col[y]
-            shift = y % n
-            nxt.append(row[-shift:] + row[:-shift] if shift else row[:])
-        if x == n:
-            ending_right = nxt[n][0]
+        # read in the last column: the final Right step lands at height n
+        ending_right = nxt[n][0]
         for y in range(1, n + 1):
             below, here = nxt[y - 1], nxt[y]
             for r in range(n):

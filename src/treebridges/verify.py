@@ -149,9 +149,8 @@ def check_path_count_identity(n_max: int = 30) -> Check:
     bad = []
     for n in range(1, n_max + 1):
         t = trees.plane_tree_count(n)
-        total = trees.count_paths_area_divisible(n)
         up, right = trees.count_paths_by_final_step(n)
-        if not (total == 2 * t and up == t and right == t):
+        if (up, right) != (t, t):
             bad.append(n)
     return (
         "divisible-area path counts equal tree counts by final step",

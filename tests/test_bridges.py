@@ -114,6 +114,27 @@ def test_bridge_layers_keep_every_state_a_bridge_visits(graphical_bridges_by_n):
                 assert (height, sigma) in layers[k]
 
 
+def test_bridge_layers_keep_only_states_a_bridge_visits():
+    for n in range(1, 11):
+        visited = [{(0, 0)}] + [set() for _ in range(n)]
+        for b in bridges.enumerate_graphical_bridges(n):
+            height = sigma = 0
+            for k in range(1, n + 1):
+                height += b[2 * k - 2] + b[2 * k - 1]
+                sigma += height // 2
+                visited[k].add((height, sigma))
+        assert [set(layer) for layer in bridges.bridge_layers(n)] == visited
+
+
+def test_part_counts_share_one_bridge_table():
+    b = bridges.graphical_bridge_counts(30)
+    assert bridges.bridge_counts_covering(30)[:31] == b
+    misses = bridges.graphical_bridge_counts.cache_info().misses
+    for n in range(1, 31):
+        series.parts_count_distribution(n)
+    assert bridges.graphical_bridge_counts.cache_info().misses == misses
+
+
 def test_graphical_bridge_counts_cap():
     with pytest.raises(ValueError, match="capped"):
         bridges.graphical_bridge_counts(bridges.BRIDGE_DP_CAP + 1)

@@ -4,8 +4,11 @@ import pytest
 
 from treebridges import graphseq
 
-# counts of graphical degree sequences by vertex count
-GRAPHICAL_COUNTS = [1, 2, 4, 11, 31, 102, 342, 1213, 4361, 16016]
+# counts of graphical degree sequences by vertex count; n = 11..14 from
+# _count_by_enumeration (about 110 s for the four)
+GRAPHICAL_COUNTS = [
+    1, 2, 4, 11, 31, 102, 342, 1213, 4361, 16016, 59348, 222117, 836315, 3166852
+]
 
 
 def test_is_graphical_sequence_basics():
@@ -56,8 +59,23 @@ def test_oracle_cap():
 
 
 def test_count_graphical_sequences_frozen_row():
-    got = [graphseq.count_graphical_sequences(n) for n in range(1, 11)]
+    got = [graphseq.count_graphical_sequences(n) for n in range(1, 15)]
     assert got == GRAPHICAL_COUNTS
+    assert graphseq.graphical_sequence_counts(14) == (1, *GRAPHICAL_COUNTS)
+
+
+def test_frobenius_dp_matches_enumeration():
+    counts = graphseq.graphical_sequence_counts(12)
+    for n in range(1, 13):
+        assert counts[n] == graphseq._count_by_enumeration(n, prune=True)
+
+
+@pytest.mark.parametrize("n", [60, 25, 7])
+def test_graphical_sequence_counts_prefix_consistent(n):
+    # the sweep's bounds depend on n_max, yet every shorter count must stay exact
+    full = graphseq.graphical_sequence_counts(n)
+    for m in (0, 1, 2, n // 3, n // 2, n - 1):
+        assert graphseq.graphical_sequence_counts(m) == full[: m + 1]
 
 
 def test_count_matches_graph_oracle():
@@ -79,6 +97,30 @@ def test_count_caps_and_validation():
         graphseq.count_graphical_sequences(graphseq.COUNT_CAP + 1)
     with pytest.raises(ValueError):
         graphseq.count_graphical_sequences(0)
+    with pytest.raises(ValueError, match="capped"):
+        graphseq.graphical_sequence_counts(graphseq.COUNT_CAP + 1)
+    with pytest.raises(ValueError):
+        graphseq.graphical_sequence_counts(-1)
+
+
+def test_count_graphical_sequences_rejects_non_int():
+    graphseq.count_graphical_sequences(1)  # with 1 computed, True is still refused
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            graphseq.count_graphical_sequences(bad)
+
+
+def test_graphical_sequence_counts_rejects_non_int():
+    graphseq.graphical_sequence_counts(1)
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n_max must be an int"):
+            graphseq.graphical_sequence_counts(bad)
+
+
+def test_ratio_table_rejects_non_int():
+    for bad in (True, 12.0, "3"):
+        with pytest.raises(TypeError, match="n_max must be an int"):
+            graphseq.ratio_table(bad)
 
 
 def test_ratio_table_shape_and_band():
