@@ -53,6 +53,7 @@ from .trees import (
     count_paths_by_final_step,
     path_area,
     plane_tree_count,
+    plane_tree_counts,
     zero_sum_multisets,
 )
 from .verify import run_suite
@@ -102,6 +103,7 @@ __all__ = [
     "path_area",
     "path_to_bridge",
     "plane_tree_count",
+    "plane_tree_counts",
     "ratio_table",
     "run_suite",
     "sample_uniform_graphical_bridge",

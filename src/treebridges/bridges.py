@@ -158,13 +158,15 @@ def enumerate_bridges(n: int) -> Iterator[Walk]:
         yield tuple(bridge)
 
 
-def enumerate_graphical_bridges(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Walk]:
+def enumerate_graphical_bridges(n: int) -> Iterator[Walk]:
     """All graphical bridges of length 2n, lexicographic with +1 < -1.
 
-    Exhaustive, so n is capped (default 10); raise the cap knowingly.
+    Exhaustive, so n is capped at ENUMERATION_CAP.
     """
-    if n > cap:
-        raise ValueError(f"enumerate_graphical_bridges capped at n = {cap}, got {n}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumerate_graphical_bridges capped at n = {ENUMERATION_CAP}, got {n}"
+        )
     for bridge in enumerate_bridges(n):
         if is_graphical_bridge(bridge):
             yield bridge
@@ -289,6 +291,7 @@ def count_bridges_area_divisible(n: int) -> int:
     State is (height, area mod n); no sign constraint on the area, so
     this counts all bridges, not just graphical ones.
     """
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"count_bridges_area_divisible needs n >= 1, got {n}")
     if n > RESIDUE_DP_CAP:
@@ -323,10 +326,3 @@ def count_bridges_area_divisible_bruteforce(n: int) -> int:
 def bridge_to_string(bridge: Walk) -> str:
     """Serialize increments as a string over {U, D} (+1 -> U, -1 -> D)."""
     return "".join("U" if step == 1 else "D" for step in bridge)
-
-
-def bridge_from_string(text: str) -> Walk:
-    """Inverse of bridge_to_string; validates the alphabet."""
-    if set(text) - {"U", "D"}:
-        raise ValueError(f"bridge string must be over {{U, D}}, got {text!r}")
-    return tuple(1 if ch == "U" else -1 for ch in text)

@@ -20,9 +20,6 @@ import sys
 
 from . import bridges, constants, graphseq, series, trees, verify, walks_mc
 
-# residue DP tables for the N and N' columns are quadratic in n per row
-_DIVISIBLE_AREA_CAP = bridges.RESIDUE_DP_CAP
-
 _TABLE_CHOICES = ("T", "B", "M", "N", "Nprime", "G", "irreducible")
 
 
@@ -37,15 +34,17 @@ def _table_rows(which: str, n_max: int):
         raise ValueError(
             f"table G is capped at n = {graphseq.COUNT_CAP} (Frobenius DP cost), got {n_max}"
         )
-    if which in ("N", "Nprime") and n_max > _DIVISIBLE_AREA_CAP:
+    # residue DP tables for the N and N' columns are quadratic in n per row
+    if which in ("N", "Nprime") and n_max > bridges.RESIDUE_DP_CAP:
         raise ValueError(
-            f"table {which} is capped at n = {_DIVISIBLE_AREA_CAP} (residue DP cost), got {n_max}"
+            f"table {which} is capped at n = {bridges.RESIDUE_DP_CAP} (residue DP cost), got {n_max}"
         )
     if which == "B":
         vals = bridges.graphical_bridge_counts(n_max)
         return ("n", "value"), [(n, vals[n]) for n in range(n_max + 1)]
     if which == "T":
-        return ("n", "value"), [(n, trees.plane_tree_count(n)) for n in range(1, n_max + 1)]
+        vals = trees.plane_tree_counts(n_max)
+        return ("n", "value"), [(n, vals[n]) for n in range(1, n_max + 1)]
     if which == "M":
         rows = [
             (n, k, trees.zero_sum_multisets(n, k))

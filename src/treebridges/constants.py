@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .trees import plane_tree_counts
+
 # terms up to here are accumulated as exact rationals and rounded once
 EXACT_TERMS = 64
 DEFAULT_TERMS = 10_000
@@ -62,38 +64,6 @@ class BoundedReal:
         return BoundedReal((lo + hi) / 2, (hi - lo) / 2 + slack)
 
 
-@lru_cache(maxsize=4)
-def _plane_tree_count_table(n_max: int) -> tuple:
-    """Exact T(k) for k = 0..n_max, built in one sieved sweep.
-
-    The big binomials binomial(2k-1, k) are produced by the ratio
-    recurrence c_{k} = c_{k-1} * 2 * (2k-1) / k, which is far cheaper
-    than independent binomial calls at this scale.
-    """
-    phi = list(range(n_max + 1))
-    for p in range(2, n_max + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, n_max + 1, p):
-                phi[m] -= phi[m] // p
-    proper_divs: list[list[int]] = [[] for _ in range(n_max + 1)]
-    for d in range(1, n_max // 2 + 1):
-        for m in range(2 * d, n_max + 1, d):
-            proper_divs[m].append(d)
-    central = [0] * (n_max + 1)  # central[k] = binomial(2k-1, k)
-    out = [0] * (n_max + 1)
-    c = 1
-    for k in range(1, n_max + 1):
-        if k > 1:
-            c = c * (2 * (2 * k - 1)) // k
-        central[k] = c
-        acc = c
-        for d in proper_divs[k]:
-            acc += central[d] * phi[k // d]
-        assert acc % k == 0
-        out[k] = acc // k
-    return tuple(out)
-
-
 def series_tail_bound(terms: int) -> float:
     """Rigorous bound on the tree series tail after the given many terms."""
     if terms < 1:
@@ -108,11 +78,12 @@ def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     The first EXACT_TERMS terms are summed as exact rationals and
     rounded once; later terms are converted individually (int by int
     division is correctly rounded) and combined with math.fsum.  The
-    error bound is the series tail plus FLOAT_SLOP.
+    error bound is the series tail plus FLOAT_SLOP.  terms is capped at
+    trees.TREE_TABLE_CAP.
     """
     if terms < 1:
         raise ValueError(f"tree_series needs terms >= 1, got {terms}")
-    trees = _plane_tree_count_table(terms)
+    trees = plane_tree_counts(terms)
     exact = Fraction(0)
     for k in range(1, min(terms, EXACT_TERMS) + 1):
         exact += Fraction(trees[k], k << (2 * k))

@@ -100,7 +100,7 @@ def all_graph_degree_sequences(n: int) -> set:
     return seen
 
 
-def _count_by_enumeration(n: int, prune: bool) -> int:
+def _count_by_enumeration(n: int) -> int:
     """Count graphical sequences of length n by walking all
     non-increasing candidates.
 
@@ -121,7 +121,7 @@ def _count_by_enumeration(n: int, prune: bool) -> int:
             return
         k = idx + 1
         for v in range(mx, -1, -1):
-            if prune and acc + v > k * (k - 1) + (n - k) * min(v, k):
+            if acc + v > k * (k - 1) + (n - k) * min(v, k):
                 continue
             d[idx] = v
             descend(idx + 1, v, acc + v)

@@ -1,9 +1,8 @@
-"""Small number-theoretic helpers: totient, divisors, exact binomials,
-and the integer-argument check shared by the public counting functions."""
+"""Small number-theoretic helpers: totient, divisors, and the
+integer-argument check shared by the public counting functions."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -45,12 +44,3 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def binomial(n: int, k: int) -> int:
-    """binomial(n, k) as an exact integer; 0 when k > n or k < 0."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bridges import bridge_counts_covering, graphical_bridge_counts
-from .trees import plane_tree_count
+from .bridges import bridge_counts_covering
 
 
 def log_transform(a: list) -> list:
@@ -111,24 +110,6 @@ def mean_inverse_parts(n: int) -> Fraction:
     )
 
 
-def convergence_table(n_max: int) -> list[tuple[int, Fraction, float, float]]:
-    """Rows (n, ratio, float(ratio), |ratio - limit|) for n = 1..n_max.
-
-    ratio is the exact rational 2*T(n) / (n * b_n), whose limit is the
-    exact zero-area stopping probability complement exp(-2*xi).
-    """
-    from .constants import tree_series
-    import math
-
-    b = graphical_bridge_counts(n_max)
-    limit = math.exp(-2 * tree_series().value)
-    rows = []
-    for n in range(1, n_max + 1):
-        ratio = Fraction(2 * plane_tree_count(n), n * b[n])
-        rows.append((n, ratio, float(ratio), abs(float(ratio) - limit)))
-    return rows
-
-
 def parts_negbin_tv_distance(n: int) -> float:
     """Total-variation distance between the part-count distribution at n
     and 1 + X with X negative binomial (r = 2, success prob 1 - rho).
@@ -151,16 +132,3 @@ def parts_negbin_tv_distance(n: int) -> float:
     # the negative binomial keeps mass beyond m = n; the exact
     # distribution has none there
     return 0.5 * (acc + (1.0 - mass))
-
-
-def regular_variation_ratio(n: int, x: int = 2) -> float:
-    """Diagnostic ratio t(x*n) / (x^(-3/2) t(n)) for t(n) = 2 T(n) / 4^n.
-
-    Approaches 1 as n grows if t varies regularly with index -3/2, which
-    is the shape the log-transformed bridge sequence is expected to have.
-    """
-    if n < 1 or x < 1:
-        raise ValueError("regular_variation_ratio needs n >= 1, x >= 1")
-    m = x * n
-    exact = Fraction(plane_tree_count(m), plane_tree_count(n) * 4 ** (m - n))
-    return float(exact) * x**1.5

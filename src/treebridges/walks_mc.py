@@ -152,7 +152,8 @@ def estimate_zero_area_prob(
     stopped = zero + negative
     if stopped:
         p = zero / stopped
-        se = math.sqrt(p * (1 - p) / samples)
+        # p is a fraction of the stopped runs, not of all samples
+        se = math.sqrt(p * (1 - p) / stopped)
     else:
         p = math.nan
         se = math.nan

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from treebridges import bridges, cli, graphseq
+from treebridges import bridges, cli, graphseq, trees
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +60,14 @@ def test_bridge_tables_cap_is_a_usage_error(capsys):
         assert code == 2
         assert out == ""
         assert "capped" in err and str(bridges.BRIDGE_DP_CAP) in err
+
+
+def test_tree_table_cap_is_a_usage_error(capsys):
+    n = str(trees.TREE_TABLE_CAP + 1)
+    code, out, err = run_cli(capsys, "tables", "--which", "T", "--n-max", n)
+    assert code == 2
+    assert out == ""
+    assert "capped" in err and str(trees.TREE_TABLE_CAP) in err
 
 
 def test_tables_json_uses_string_values(capsys):

@@ -29,20 +29,20 @@ def test_bounded_real_interval_api():
 
 
 def test_tree_count_table_matches_per_index_formula():
-    table = constants._plane_tree_count_table(80)
+    table = trees.plane_tree_counts(80)
     for n in range(1, 81):
         assert table[n] == trees.plane_tree_count(n)
 
 
 def test_tree_count_table_spot_value():
     # one deep value, recomputed through the independent divisor formula
-    assert constants._plane_tree_count_table(150)[150] == trees.plane_tree_count(150)
+    assert trees.plane_tree_counts(150)[150] == trees.plane_tree_count(150)
 
 
 def test_tail_bound_premise():
     # every term of the series is at most 2 binomial(2k-1, k) / (k^2 4^k),
     # which is what the closed-form tail bound integrates
-    table = constants._plane_tree_count_table(200)
+    table = trees.plane_tree_counts(200)
     for k in range(1, 201):
         assert k * table[k] <= 2 * math.comb(2 * k - 1, k)
 

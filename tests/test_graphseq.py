@@ -67,7 +67,7 @@ def test_count_graphical_sequences_frozen_row():
 def test_frobenius_dp_matches_enumeration():
     counts = graphseq.graphical_sequence_counts(12)
     for n in range(1, 13):
-        assert counts[n] == graphseq._count_by_enumeration(n, prune=True)
+        assert counts[n] == graphseq._count_by_enumeration(n)
 
 
 @pytest.mark.parametrize("n", [60, 25, 7])
@@ -82,13 +82,6 @@ def test_count_matches_graph_oracle():
     for n in range(1, 7):
         assert graphseq.count_graphical_sequences(n) == len(
             graphseq.all_graph_degree_sequences(n)
-        )
-
-
-def test_prune_does_not_change_counts():
-    for n in range(1, 10):
-        assert graphseq._count_by_enumeration(n, prune=True) == graphseq._count_by_enumeration(
-            n, prune=False
         )
 
 

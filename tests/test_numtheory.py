@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges.numtheory import binomial, divisors, euler_phi
+from treebridges.numtheory import divisors, euler_phi
 
 
 def test_euler_phi_small_values():
@@ -53,25 +53,3 @@ def test_divisors_sorted_and_complete():
 def test_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         divisors(0)
-
-
-def test_binomial_matches_stdlib_inside_range():
-    for n in range(12):
-        for k in range(n + 1):
-            assert binomial(n, k) == comb(n, k)
-
-
-def test_binomial_zero_outside_range():
-    assert binomial(5, 6) == 0
-    assert binomial(5, -1) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_rejects_negative_order():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(1, 100), st.integers(-1, 101))
-def test_binomial_pascal_recurrence(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)

@@ -92,28 +92,7 @@ def test_mean_inverse_parts_small_values():
     assert series.mean_inverse_parts(4) == Fraction(5, 17)
 
 
-def test_convergence_table_shape_and_trend():
-    rows = series.convergence_table(40)
-    assert len(rows) == 40
-    b = bridges.graphical_bridge_counts(40)
-    n, ratio, as_float, delta = rows[9]
-    assert n == 10
-    assert ratio == Fraction(2 * trees.plane_tree_count(10), 10 * b[10])
-    assert as_float == pytest.approx(float(ratio))
-    # the drift toward the limit is slow but visible
-    assert rows[39][3] < rows[9][3] / 2
-
-
 def test_parts_negbin_tv_distance_range_and_trend():
     d10 = series.parts_negbin_tv_distance(10)
     d40 = series.parts_negbin_tv_distance(40)
     assert 0.0 <= d40 < d10 <= 1.0
-
-
-def test_regular_variation_ratio_drifts_to_one():
-    r10 = series.regular_variation_ratio(10)
-    r100 = series.regular_variation_ratio(100)
-    assert abs(r10 - 1) < 0.01
-    assert abs(r100 - 1) < abs(r10 - 1)
-    with pytest.raises(ValueError):
-        series.regular_variation_ratio(0)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from treebridges import trees
+from treebridges import bridges, trees
 
 # rotation-distinct plane trees by edge count, cross-checked against the
 # path counts below
@@ -11,6 +13,7 @@ TREE_COUNTS = [1, 2, 4, 10, 26, 80, 246, 810, 2704, 9252, 32066, 112720]
 
 def test_plane_tree_count_frozen_row():
     assert [trees.plane_tree_count(n) for n in range(1, 13)] == TREE_COUNTS
+    assert trees.plane_tree_counts(12) == (0, *TREE_COUNTS)
 
 
 def test_plane_tree_count_rejects_nonpositive():
@@ -37,9 +40,12 @@ def test_zero_sum_multisets_edges():
 
 
 def test_zero_sum_multisets_diagonal_gives_tree_counts():
-    # swapping d -> n/d in the divisor sum turns one formula into the other
-    for n in range(1, 13):
-        assert trees.zero_sum_multisets(n, n) == trees.plane_tree_count(n)
+    # swapping d -> n/d in the divisor sum turns one formula into the
+    # other; the sieve builds the binomials by a ratio recurrence and the
+    # totients by a sieve, so the two routes share no code
+    table = trees.plane_tree_counts(150)
+    for n in (*range(1, 81), 150):
+        assert trees.zero_sum_multisets(n, n) == table[n]
 
 
 def test_path_area_examples():
@@ -58,18 +64,10 @@ def test_path_area_complement():
     # reflecting across the diagonal swaps the two step letters and
     # complements the area within the n-by-n box
     n = 4
-    for path in trees.enumerate_lattice_paths(n):
+    for ups in combinations(range(2 * n), n):
+        path = tuple("U" if i in ups else "R" for i in range(2 * n))
         swapped = tuple("U" if s == "R" else "R" for s in path)
         assert trees.path_area(path) + trees.path_area(swapped) == n * n
-
-
-def test_enumerate_lattice_paths_shape():
-    paths = list(trees.enumerate_lattice_paths(3))
-    assert len(paths) == 20
-    assert len(set(paths)) == 20
-    for p in paths:
-        assert p.count("U") == 3 and p.count("R") == 3
-    assert list(trees.enumerate_lattice_paths(0)) == [()]
 
 
 def test_count_paths_area_divisible_matches_bruteforce():
@@ -99,3 +97,28 @@ def test_plane_tree_count_rejects_non_int():
     for bad in (True, 2.0, "3"):
         with pytest.raises(TypeError, match="n must be an int"):
             trees.plane_tree_count(bad)
+
+
+@pytest.mark.parametrize(
+    "count, args",
+    [
+        (trees.zero_sum_multisets, (3.0, 1)),
+        (trees.zero_sum_multisets, (3, True)),
+        (trees.count_paths_by_final_step, (True,)),
+        (trees.count_paths_area_divisible, (True,)),
+        (bridges.count_bridges_area_divisible, (True,)),
+        (trees.plane_tree_counts, ("3",)),
+    ],
+    ids=["multisets-n", "multisets-k", "paths-by-step", "paths", "bridges", "tree-table"],
+)
+def test_counts_reject_non_int(count, args):
+    with pytest.raises(TypeError, match="must be an int"):
+        count(*args)
+
+
+def test_plane_tree_counts_cap_and_validation():
+    with pytest.raises(ValueError, match="capped"):
+        trees.plane_tree_counts(trees.TREE_TABLE_CAP + 1)
+    with pytest.raises(ValueError):
+        trees.plane_tree_counts(-1)
+    assert trees.plane_tree_counts(0) == (0,)

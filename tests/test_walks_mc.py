@@ -82,9 +82,10 @@ def test_estimate_horizon_two_law():
 
 def test_std_error_follows_stated_formula():
     est = walks_mc.estimate_zero_area_prob(5000, 2000, seed=6)
+    # the estimate is a fraction of the stopped runs, so they set its error
     stopped = round(est.samples * (1 - est.capped_fraction))
     p = est.estimate
-    assert est.std_error == pytest.approx(math.sqrt(p * (1 - p) / est.samples))
+    assert est.std_error == pytest.approx(math.sqrt(p * (1 - p) / stopped))
     assert stopped > 0
 
 
