@@ -41,6 +41,7 @@ from .graphseq import (
     ratio_table,
 )
 from .series import (
+    bridge_counts_from_trees,
     inverse_log_transform,
     irreducible_bridge_counts,
     log_transform,
@@ -73,6 +74,7 @@ __all__ = [
     "ShiftedPair",
     "WalkOutcome",
     "all_graph_degree_sequences",
+    "bridge_counts_from_trees",
     "bridge_to_path",
     "count_bridges_area_divisible",
     "count_graphical_bridges",

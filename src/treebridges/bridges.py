@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .numtheory import check_int
+from .numtheory import check_size
 
 Walk = tuple  # increments over {+1, -1}
 
@@ -242,46 +242,22 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
         yield states
 
 
-# the longest table graphical_bridge_counts has built; every shorter
-# table is a prefix of it
-_longest_counts: tuple = ()
-
-
 # typed, so that True is not served the cached entry for 1
 @lru_cache(maxsize=None, typed=True)
 def graphical_bridge_counts(n_max: int) -> tuple:
     """Counts of graphical bridges of lengths 0, 2, ..., 2*n_max.
 
     Reads the (0, 0) entry of each layer of bridge_layers, holding one
-    layer at a time.
+    layer at a time.  The production route for these counts is
+    series.bridge_counts_from_trees; this DP is its independent oracle.
     """
-    global _longest_counts
-    check_int("n_max", n_max)
-    if n_max < 0:
-        raise ValueError(f"graphical_bridge_counts needs n_max >= 0, got {n_max}")
-    if n_max > BRIDGE_DP_CAP:
-        raise ValueError(f"bridge DP capped at n = {BRIDGE_DP_CAP}, got {n_max}")
-    counts = tuple(layer.get((0, 0), 0) for layer in bridge_layers(n_max))
-    if len(counts) > len(_longest_counts):
-        _longest_counts = counts
-    return counts
-
-
-def bridge_counts_covering(n: int) -> tuple:
-    """A graphical-bridge count table with more than n entries: the
-    longest one graphical_bridge_counts has built, building the one for
-    n first if none is that long.  Callers that only index up to n share
-    one DP run across every n up to the largest asked so far."""
-    if len(_longest_counts) <= n:
-        graphical_bridge_counts(n)
-    return _longest_counts
+    check_size("n_max", n_max, 0, BRIDGE_DP_CAP)
+    return tuple(layer.get((0, 0), 0) for layer in bridge_layers(n_max))
 
 
 def count_graphical_bridges(n: int) -> int:
     """Number of graphical bridges of length 2n (DP route)."""
-    check_int("n", n)
-    if n < 0:
-        raise ValueError(f"count_graphical_bridges needs n >= 0, got {n}")
+    check_size("n", n, 0)
     return graphical_bridge_counts(n)[n]
 
 
@@ -291,11 +267,7 @@ def count_bridges_area_divisible(n: int) -> int:
     State is (height, area mod n); no sign constraint on the area, so
     this counts all bridges, not just graphical ones.
     """
-    check_int("n", n)
-    if n < 1:
-        raise ValueError(f"count_bridges_area_divisible needs n >= 1, got {n}")
-    if n > RESIDUE_DP_CAP:
-        raise ValueError(f"residue DP capped at n = {RESIDUE_DP_CAP}, got {n}")
+    check_size("n", n, 1, RESIDUE_DP_CAP)
     states = {(0, 0): 1}
     for k in range(1, n + 1):
         reach = 2 * (n - k)  # must still be able to return to height 0

@@ -31,7 +31,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .numtheory import check_int
+from .numtheory import check_int, check_size
 
 # all 2^binomial(n,2) graphs are materialized; 6 is where that stops
 ORACLE_CAP = 6
@@ -180,11 +180,7 @@ def graphical_sequence_counts(n_max: int) -> tuple:
     partial sums, and the arms up to a take at most (a+1)(a+2)/2 from
     them, so no row m past the smaller bound is kept.
     """
-    check_int("n_max", n_max)
-    if n_max < 0:
-        raise ValueError(f"graphical_sequence_counts needs n_max >= 0, got {n_max}")
-    if n_max > COUNT_CAP:
-        raise ValueError(f"sequence count capped at n = {COUNT_CAP}, got {n_max}")
+    check_size("n_max", n_max, 0, COUNT_CAP)
     empty = np.array([[1, 0]], dtype=object)
     below = [empty] * n_max
     # first[n]: graphical sequences whose top pair has leg n - 1 (first[0]:
@@ -205,9 +201,7 @@ def graphical_sequence_counts(n_max: int) -> tuple:
 
 def count_graphical_sequences(n: int) -> int:
     """Number of graphical degree sequences of length n."""
-    check_int("n", n)
-    if n < 1:
-        raise ValueError(f"count_graphical_sequences needs n >= 1, got {n}")
+    check_size("n", n, 1)
     return graphical_sequence_counts(n)[n]
 
 

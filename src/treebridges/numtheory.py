@@ -1,5 +1,5 @@
 """Small number-theoretic helpers: totient, divisors, and the
-integer-argument check shared by the public counting functions."""
+argument checks shared by the public counting functions."""
 
 from __future__ import annotations
 
@@ -10,6 +10,16 @@ def check_int(name: str, value) -> None:
     """Reject bool and non-int arguments with a TypeError naming them."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
+def check_size(name: str, value, least: int, cap: int | None = None) -> None:
+    """check_int, then reject a value below least or above cap with a
+    ValueError naming the argument."""
+    check_int(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{name} is capped at {cap}, got {value}")
 
 
 @lru_cache(maxsize=None)

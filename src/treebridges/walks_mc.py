@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridges import bridge_layers
-from .numtheory import check_int
+from .numtheory import check_int, check_size
 
 # the first draw at n builds and keeps every forward layer of the bridge
 # DP: measured 1.4 s and 100 MB of resident memory at n = 100 (0.03 s and
@@ -194,12 +194,8 @@ def sample_uniform_graphical_bridge(n: int, seed: int):
     n and a draw depends only on (n, seed).  The draws use integer
     ranges, so huge counts lose no precision.
     """
-    check_int("n", n)
+    check_size("n", n, 0, SAMPLING_CAP)
     check_int("seed", seed)
-    if n < 0:
-        raise ValueError(f"needs n >= 0, got {n}")
-    if n > SAMPLING_CAP:
-        raise ValueError(f"sampling capped at n = {SAMPLING_CAP}, got {n}")
     layers = _layers_through(n)
     rng = random.Random(seed)
     pairs: list[tuple] = []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bridges, series, trees
+from treebridges import bridges, series
 
 # graphical bridge counts by half-length, starting at the empty bridge
 BRIDGE_COUNTS = (1, 2, 4, 8, 17, 38, 92, 236, 643, 1834)
@@ -98,8 +98,7 @@ def test_graphical_bridge_counts_prefix_consistent(n):
 
 def test_graphical_bridge_counts_match_tree_formula_at_80():
     # independent route: b is the inverse log transform of 2T
-    star = [2 * trees.plane_tree_count(n) for n in range(1, 81)]
-    assert list(bridges.graphical_bridge_counts(80)) == series.inverse_log_transform(star)
+    assert list(bridges.graphical_bridge_counts(80)) == series.bridge_counts_from_trees(80)
 
 
 def test_bridge_layers_keep_every_state_a_bridge_visits(graphical_bridges_by_n):
@@ -124,15 +123,6 @@ def test_bridge_layers_keep_only_states_a_bridge_visits():
                 sigma += height // 2
                 visited[k].add((height, sigma))
         assert [set(layer) for layer in bridges.bridge_layers(n)] == visited
-
-
-def test_part_counts_share_one_bridge_table():
-    b = bridges.graphical_bridge_counts(30)
-    assert bridges.bridge_counts_covering(30)[:31] == b
-    misses = bridges.graphical_bridge_counts.cache_info().misses
-    for n in range(1, 31):
-        series.parts_count_distribution(n)
-    assert bridges.graphical_bridge_counts.cache_info().misses == misses
 
 
 def test_graphical_bridge_counts_cap():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from treebridges import bridges, cli, graphseq, trees
+from treebridges import cli, graphseq, series, trees
 
 
 def run_cli(capsys, *argv):
@@ -55,19 +55,29 @@ def test_tables_cap_is_a_usage_error(capsys):
 
 def test_bridge_tables_cap_is_a_usage_error(capsys):
     for which in ("B", "irreducible"):
-        n = str(bridges.BRIDGE_DP_CAP + 1)
+        n = str(series.BRIDGE_TABLE_CAP + 1)
         code, out, err = run_cli(capsys, "tables", "--which", which, "--n-max", n)
         assert code == 2
         assert out == ""
-        assert "capped" in err and str(bridges.BRIDGE_DP_CAP) in err
+        assert "capped" in err and str(series.BRIDGE_TABLE_CAP) in err
 
 
 def test_tree_table_cap_is_a_usage_error(capsys):
-    n = str(trees.TREE_TABLE_CAP + 1)
-    code, out, err = run_cli(capsys, "tables", "--which", "T", "--n-max", n)
+    cap = cli._TABLE_CAPS["T"]
+    # the last printed value stays inside the int-to-str digit limit
+    str(trees.plane_tree_counts(cap)[cap])
+    code, out, err = run_cli(capsys, "tables", "--which", "T", "--n-max", str(cap + 1))
     assert code == 2
     assert out == ""
-    assert "capped" in err and str(trees.TREE_TABLE_CAP) in err
+    assert "capped" in err and str(cap) in err
+
+
+def test_multiset_table_cap_is_a_usage_error(capsys):
+    cap = cli._TABLE_CAPS["M"]
+    code, out, err = run_cli(capsys, "tables", "--which", "M", "--n-max", str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert "capped" in err and str(cap) in err
 
 
 def test_tables_json_uses_string_values(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from scipy import stats
@@ -78,6 +79,18 @@ def test_estimate_horizon_two_law():
     est = walks_mc.estimate_zero_area_prob(20_000, 2, seed=4)
     assert abs(est.estimate - 8 / 9) < 0.015
     assert abs(est.capped_fraction - 7 / 16) < 0.015
+
+
+def test_zero_stop_probability_matches_exact_finite_horizon_law():
+    # a zero-area stop at lazy step k is an irreducible graphical bridge
+    # of length 2k, so P(zero stop by H) = sum_{k <= H} i_k / 4^k
+    samples, horizon = 200_000, 300
+    irr = series.irreducible_bridge_counts(series.bridge_counts_from_trees(horizon))
+    exact = float(sum(Fraction(irr[k], 4**k) for k in range(1, horizon + 1)))
+    est = walks_mc.estimate_zero_area_prob(samples, horizon, seed=20261018)
+    zero_fraction = est.estimate * (1 - est.capped_fraction)
+    sigma = math.sqrt(exact * (1 - exact) / samples)
+    assert abs(zero_fraction - exact) <= 5 * sigma
 
 
 def test_std_error_follows_stated_formula():
