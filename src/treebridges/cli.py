@@ -18,11 +18,12 @@ import math
 import os
 import sys
 
-from . import bridges, constants, graphseq, series, trees, verify, walks_mc
+from . import constants, graphseq, series, trees, verify, walks_mc
 
 # the largest n-max each table accepts, checked before any work.  T(n)
 # passes the interpreter's 4,300-digit limit on int-to-str conversion
-# near n = 7,140; at 7,000 the table takes 1.5-1.8 s and prints 15 MB.
+# near n = 7,140; at 7,000 the table takes 1.5-1.8 s and prints 15 MB,
+# and 2T(7,000), the last N and Nprime value, has 4,209 digits.
 # The M triangle has about n^2/2 entries, each a divisor sum: 3.5-3.9 s,
 # 49 MB peak resident memory and 16.8 MB of CSV at 500 (1.1 s and 3.7 MB
 # at 300).  Measured on a 2-core x86-64 host with Python 3.11.
@@ -30,8 +31,8 @@ _TABLE_CAPS = {
     "T": 7000,
     "B": series.BRIDGE_TABLE_CAP,
     "M": 500,
-    "N": bridges.RESIDUE_DP_CAP,
-    "Nprime": bridges.RESIDUE_DP_CAP,
+    "N": 7000,
+    "Nprime": 7000,
     "G": graphseq.COUNT_CAP,
     "irreducible": series.BRIDGE_TABLE_CAP,
 }
@@ -47,9 +48,11 @@ def _table_rows(which: str, n_max: int):
     if which == "B":
         vals = series.bridge_counts_from_trees(n_max)
         return ("n", "value"), [(n, vals[n]) for n in range(n_max + 1)]
-    if which == "T":
+    if which in ("T", "N", "Nprime"):
+        # N(n) = N'(n) = 2T(n); the residue DPs are only the oracles
+        times = 1 if which == "T" else 2
         vals = trees.plane_tree_counts(n_max)
-        return ("n", "value"), [(n, vals[n]) for n in range(1, n_max + 1)]
+        return ("n", "value"), [(n, times * vals[n]) for n in range(1, n_max + 1)]
     if which == "M":
         rows = [
             (n, k, trees.zero_sum_multisets(n, k))
@@ -57,14 +60,6 @@ def _table_rows(which: str, n_max: int):
             for k in range(n + 1)
         ]
         return ("n", "k", "value"), rows
-    if which == "N":
-        return ("n", "value"), [
-            (n, trees.count_paths_area_divisible(n)) for n in range(1, n_max + 1)
-        ]
-    if which == "Nprime":
-        return ("n", "value"), [
-            (n, bridges.count_bridges_area_divisible(n)) for n in range(1, n_max + 1)
-        ]
     if which == "G":
         vals = graphseq.graphical_sequence_counts(n_max)
         return ("n", "value"), [(n, vals[n]) for n in range(1, n_max + 1)]

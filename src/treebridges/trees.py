@@ -22,6 +22,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
+from .bridges import RESIDUE_DP_CAP
 from .numtheory import check_size, divisors, euler_phi
 
 UP = "U"
@@ -133,7 +134,8 @@ def path_area(path: tuple[str, ...]) -> int:
 
 
 def count_paths_area_divisible(n: int) -> int:
-    """Paths (0,0) -> (n,n) with area divisible by n, counted by DP."""
+    """Paths (0,0) -> (n,n) with area divisible by n: the capped DP oracle
+    for N(n) = 2T(n), which the N table reads as 2 * plane_tree_counts."""
     return sum(count_paths_by_final_step(n))
 
 
@@ -146,9 +148,10 @@ def count_paths_by_final_step(n: int) -> tuple[int, int]:
     step at height y adds y to the area; Up steps within a column leave
     it unchanged, so each column is a residue-rotation followed by a
     running sum over heights.  A path ends in Right exactly when its
-    final Right step lands at height n.
+    final Right step lands at height n.  The oracle that each half is
+    T(n): it never reads the sieve, and the N table never runs it.
     """
-    check_size("n", n, 1)
+    check_size("n", n, 1, RESIDUE_DP_CAP)
     # column 0: the all-Up prefix to height y, area 0
     col = [[0] * n for _ in range(n + 1)]
     for y in range(n + 1):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bridges, series
+from treebridges import bridges, series, trees
 
 # graphical bridge counts by half-length, starting at the empty bridge
 BRIDGE_COUNTS = (1, 2, 4, 8, 17, 38, 92, 236, 643, 1834)
@@ -191,6 +191,15 @@ def test_count_bridges_area_divisible_matches_bruteforce():
 def test_count_bridges_area_divisible_cap():
     with pytest.raises(ValueError):
         bridges.count_bridges_area_divisible(bridges.RESIDUE_DP_CAP + 1)
+
+
+@pytest.mark.parametrize(
+    "fn", [trees.count_paths_area_divisible, trees.count_paths_by_final_step]
+)
+def test_count_paths_area_divisible_cap(fn):
+    # the path DP is the other residue oracle, under the same cap
+    with pytest.raises(ValueError, match="capped"):
+        fn(bridges.RESIDUE_DP_CAP + 1)
 
 
 def test_string_round_trip(graphical_bridges_by_n):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from treebridges import cli, graphseq, series, trees
+from treebridges import bridges, cli, graphseq, series, trees
 
 
 def run_cli(capsys, *argv):
@@ -63,13 +63,17 @@ def test_bridge_tables_cap_is_a_usage_error(capsys):
 
 
 def test_tree_table_cap_is_a_usage_error(capsys):
-    cap = cli._TABLE_CAPS["T"]
-    # the last printed value stays inside the int-to-str digit limit
-    str(trees.plane_tree_counts(cap)[cap])
-    code, out, err = run_cli(capsys, "tables", "--which", "T", "--n-max", str(cap + 1))
-    assert code == 2
-    assert out == ""
-    assert "capped" in err and str(cap) in err
+    # T, and N and Nprime as 2T, all read the tree sieve
+    for which, factor in (("T", 1), ("N", 2), ("Nprime", 2)):
+        cap = cli._TABLE_CAPS[which]
+        # the last printed value stays inside the int-to-str digit limit
+        str(factor * trees.plane_tree_counts(cap)[cap])
+        code, out, err = run_cli(
+            capsys, "tables", "--which", which, "--n-max", str(cap + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert "capped" in err and str(cap) in err
 
 
 def test_multiset_table_cap_is_a_usage_error(capsys):
@@ -78,6 +82,34 @@ def test_multiset_table_cap_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "capped" in err and str(cap) in err
+
+
+def _table_values(capsys, which, n_max):
+    code, out, _ = run_cli(capsys, "tables", "--which", which, "--n-max", str(n_max))
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(n) for n, _ in rows] == list(range(1, n_max + 1))
+    return [int(v) for _, v in rows]
+
+
+def test_residue_tables_read_the_tree_sieve(capsys, monkeypatch):
+    # the tables agree with the residue DPs, which stay as their oracles
+    assert _table_values(capsys, "N", 30) == [
+        trees.count_paths_area_divisible(n) for n in range(1, 31)
+    ]
+    assert _table_values(capsys, "Nprime", 30) == [
+        bridges.count_bridges_area_divisible(n) for n in range(1, 31)
+    ]
+
+    def refuse(n):
+        raise AssertionError("the N and Nprime tables ran a residue DP")
+
+    monkeypatch.setattr(trees, "count_paths_area_divisible", refuse)
+    monkeypatch.setattr(trees, "count_paths_by_final_step", refuse)
+    monkeypatch.setattr(bridges, "count_bridges_area_divisible", refuse)
+    want = [2 * trees.plane_tree_count(n) for n in range(1, 61)]
+    assert _table_values(capsys, "N", 60) == want
+    assert _table_values(capsys, "Nprime", 60) == want
 
 
 def test_tables_json_uses_string_values(capsys):
