@@ -17,7 +17,6 @@ from .bijections import (
 )
 from .bridges import (
     count_bridges_area_divisible,
-    count_graphical_bridges,
     diamond_area,
     enumerate_graphical_bridges,
     graphical_bridge_counts,
@@ -77,7 +76,6 @@ __all__ = [
     "bridge_counts_from_trees",
     "bridge_to_path",
     "count_bridges_area_divisible",
-    "count_graphical_bridges",
     "count_graphical_sequences",
     "count_growth_constant",
     "count_paths_area_divisible",

@@ -152,8 +152,7 @@ def is_irreducible_bridge(bridge: Walk) -> bool:
 
 def enumerate_bridges(n: int) -> Iterator[Walk]:
     """All bridges of length 2n, in lexicographic order with +1 < -1."""
-    if n < 0:
-        raise ValueError(f"enumerate_bridges needs n >= 0, got {n}")
+    check_size("n", n, 0)
     for plus_positions in combinations(range(2 * n), n):
         bridge = [-1] * (2 * n)
         for p in plus_positions:
@@ -166,10 +165,7 @@ def enumerate_graphical_bridges(n: int) -> Iterator[Walk]:
 
     Exhaustive, so n is capped at ENUMERATION_CAP.
     """
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumerate_graphical_bridges capped at n = {ENUMERATION_CAP}, got {n}"
-        )
+    check_size("n", n, 0, ENUMERATION_CAP)
     for bridge in enumerate_bridges(n):
         if is_graphical_bridge(bridge):
             yield bridge
@@ -258,12 +254,6 @@ def graphical_bridge_counts(n_max: int) -> tuple:
     return tuple(layer.get((0, 0), 0) for layer in bridge_layers(n_max))
 
 
-def count_graphical_bridges(n: int) -> int:
-    """Number of graphical bridges of length 2n (DP route)."""
-    check_size("n", n, 0)
-    return graphical_bridge_counts(n)[n]
-
-
 def count_bridges_area_divisible(n: int) -> int:
     """Bridges of length 2n whose diamond area is divisible by n (DP).
 
@@ -293,10 +283,7 @@ def count_bridges_area_divisible(n: int) -> int:
 
 def count_bridges_area_divisible_bruteforce(n: int) -> int:
     """Exhaustive oracle for count_bridges_area_divisible (n <= 10)."""
-    if n < 1:
-        raise ValueError(f"needs n >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"exhaustive bridge count capped at n = {ENUMERATION_CAP}")
+    check_size("n", n, 1, ENUMERATION_CAP)
     return sum(1 for b in enumerate_bridges(n) if diamond_area(b) % n == 0)
 
 

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from . import constants, graphseq, series, trees, verify, walks_mc
@@ -134,13 +133,12 @@ def cmd_constants(args) -> int:
 
 
 def cmd_rho_mc(args) -> int:
-    if args.samples < 1:
-        return _usage_error(f"samples must be >= 1, got {args.samples}")
-    if args.horizon < 1:
-        return _usage_error(f"horizon must be >= 1, got {args.horizon}")
-    if args.workers < 1:
-        return _usage_error(f"workers must be >= 1, got {args.workers}")
-    est = walks_mc.estimate_zero_area_prob(args.samples, args.horizon, args.seed, args.workers)
+    try:
+        est = walks_mc.estimate_zero_area_prob(
+            args.samples, args.horizon, args.seed, args.workers
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     payload = {
         "estimate": None if math.isnan(est.estimate) else est.estimate,
         "samples": est.samples,
@@ -150,14 +148,6 @@ def cmd_rho_mc(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     return 0
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("TREEBRIDGES_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--horizon", type=int, default=1_000_000)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--workers", type=int, default=_default_workers())
+    p_mc.add_argument("--workers", type=int, default=1)
     p_mc.set_defaults(func=cmd_rho_mc)
 
     return parser

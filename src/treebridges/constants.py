@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .numtheory import check_size
 from .trees import plane_tree_counts
 
 # terms up to here are accumulated as exact rationals and rounded once
@@ -66,12 +67,12 @@ class BoundedReal:
 
 def series_tail_bound(terms: int) -> float:
     """Rigorous bound on the tree series tail after the given many terms."""
-    if terms < 1:
-        raise ValueError("need at least one term")
+    check_size("terms", terms, 1)
     return 2.0 / (3.0 * math.sqrt(math.pi)) * terms**-1.5
 
 
-@lru_cache(maxsize=8)
+# typed, here and below, so that True is not served the cached entry for 1
+@lru_cache(maxsize=8, typed=True)
 def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """Partial sum of sum_k T(k) / (k * 4^k) with a rigorous bound.
 
@@ -81,8 +82,7 @@ def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     error bound is the series tail plus FLOAT_SLOP.  terms is capped at
     trees.TREE_TABLE_CAP.
     """
-    if terms < 1:
-        raise ValueError(f"tree_series needs terms >= 1, got {terms}")
+    check_size("terms", terms, 1)
     trees = plane_tree_counts(terms)
     exact = Fraction(0)
     for k in range(1, min(terms, EXACT_TERMS) + 1):
@@ -112,7 +112,7 @@ def gamma_prefactor() -> BoundedReal:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def count_growth_constant(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """C: the constant in the 4^n / n^(3/4) growth of the number of
     graphical sequences; equals gamma_prefactor * exp(tree series)."""
@@ -123,7 +123,7 @@ def count_growth_constant(terms: int = DEFAULT_TERMS) -> BoundedReal:
     return BoundedReal.from_interval(lo, hi, slack=4e-17)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def exact_zero_area_prob(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """rho: probability that the stopped lazy walk has area exactly
     zero; equals 1 - exp(-2 * tree series), increasing in the series."""

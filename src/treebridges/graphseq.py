@@ -31,7 +31,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .numtheory import check_int, check_size
+from .numtheory import check_size
 
 # all 2^binomial(n,2) graphs are materialized; 6 is where that stops
 ORACLE_CAP = 6
@@ -79,10 +79,7 @@ def is_graphical_sequence(seq) -> bool:
 def all_graph_degree_sequences(n: int) -> set:
     """Degree sequences (sorted non-decreasing) of all graphs on n
     labelled vertices; the brute-force oracle, capped at n = 6."""
-    if n < 0:
-        raise ValueError(f"needs n >= 0, got {n}")
-    if n > ORACLE_CAP:
-        raise ValueError(f"graph oracle capped at n = {ORACLE_CAP}, got {n}")
+    check_size("n", n, 0, ORACLE_CAP)
     pairs = list(combinations(range(n), 2))
     seen = set()
     for mask in range(1 << len(pairs)):
@@ -212,6 +209,5 @@ def ratio_table(n_max: int) -> list[tuple[int, int, float]]:
     slowly to pin C at desk scale; the table is a stabilization
     diagnostic, not an estimator.
     """
-    check_int("n_max", n_max)
-    counts = graphical_sequence_counts(max(n_max, 0))
+    counts = graphical_sequence_counts(n_max)
     return [(n, counts[n], n**0.75 * counts[n] / 4**n) for n in range(1, n_max + 1)]

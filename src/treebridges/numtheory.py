@@ -22,11 +22,11 @@ def check_size(name: str, value, least: int, cap: int | None = None) -> None:
         raise ValueError(f"{name} is capped at {cap}, got {value}")
 
 
-@lru_cache(maxsize=None)
+# typed, so that True is not served the cached entry for 1
+@lru_cache(maxsize=None, typed=True)
 def euler_phi(n: int) -> int:
     """Euler's totient of n, by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
+    check_size("n", n, 1)
     result = n
     m = n
     p = 2
@@ -43,8 +43,7 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors of n."""
-    if n < 1:
-        raise ValueError(f"divisors needs n >= 1, got {n}")
+    check_size("n", n, 1)
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bijections, bridges, constants, graphseq, series, trees
+from .numtheory import check_size
 
 Check = tuple[str, bool, str]
 
@@ -269,8 +270,8 @@ def run_suite(name: str, n_max: int | None = None) -> list[Check]:
         entries = list(SUITES[name])
     else:
         raise ValueError(f"unknown suite {name!r}, want one of {sorted(SUITES)} or 'all'")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max is not None:
+        check_size("n_max", n_max, 1)
     results = []
     for check, ceiling in entries:
         if ceiling is None or n_max is None:

@@ -57,8 +57,7 @@ class McEstimate:
 
 def stop_time_outcome(increments, horizon: int) -> WalkOutcome:
     """Drive one walk from an increment iterable; mainly a test seam."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_size("horizon", horizon, 1)
     y = 0
     area = 0
     steps = 0
@@ -134,10 +133,11 @@ def estimate_zero_area_prob(
     (seed, w).  Workers are independent batches; they are executed
     sequentially, the knob exists for reproducible stream splitting.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_size("samples", samples, 1)
+    check_size("horizon", horizon, 1)
+    # numpy's SeedSequence rejects negative entropy
+    check_size("seed", seed, 0)
+    check_size("workers", workers, 1)
     zero = negative = capped = 0
     base, extra = divmod(samples, workers)
     for w in range(workers):

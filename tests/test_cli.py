@@ -170,23 +170,16 @@ def test_rho_mc_json_and_determinism(capsys):
 
 
 def test_rho_mc_validation(capsys):
-    code, _, err = run_cli(capsys, "rho-mc", "--samples", "0")
-    assert code == 2
-    assert "samples" in err
-
-
-def test_workers_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("TREEBRIDGES_WORKERS", "2")
-    code, out, _ = run_cli(
-        capsys, "rho-mc", "--samples", "200", "--horizon", "300", "--seed", "8"
-    )
-    assert code == 0
-    assert json.loads(out)["samples"] == 200
-    monkeypatch.setenv("TREEBRIDGES_WORKERS", "junk")
-    code, _, _ = run_cli(
-        capsys, "rho-mc", "--samples", "50", "--horizon", "100", "--seed", "8"
-    )
-    assert code == 0
+    # the API checks the ranges; the CLI only maps its ValueError to exit 2
+    bad = (("--samples", "0"), ("--horizon", "0"), ("--seed", "-1"), ("--workers", "0"))
+    for flag, value in bad:
+        code, out, err = run_cli(
+            capsys, "rho-mc", "--samples", "10", "--horizon", "5", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and flag[2:] in err
 
 
 def test_module_entry_point_subprocess():

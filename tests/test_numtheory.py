@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treebridges import bridges, constants, graphseq, trees, verify, walks_mc
 from treebridges.numtheory import divisors, euler_phi
 
 
@@ -53,3 +54,58 @@ def test_divisors_sorted_and_complete():
 def test_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         divisors(0)
+
+
+# every public entry point whose integer argument is checked by check_size:
+# (call with that argument set to v, argument name, least value, cap)
+BOUNDARY = {
+    "enumerate_bridges": (lambda v: list(bridges.enumerate_bridges(v)), "n", 0, None),
+    "enumerate_graphical_bridges": (
+        lambda v: list(bridges.enumerate_graphical_bridges(v)),
+        "n", 0, bridges.ENUMERATION_CAP,
+    ),
+    "count_bridges_area_divisible_bruteforce": (
+        bridges.count_bridges_area_divisible_bruteforce, "n", 1, bridges.ENUMERATION_CAP,
+    ),
+    "count_paths_area_divisible_bruteforce": (
+        trees.count_paths_area_divisible_bruteforce, "n", 1, trees.EXHAUSTIVE_PATH_CAP,
+    ),
+    "zero_sum_multisets_bruteforce-n": (
+        lambda v: trees.zero_sum_multisets_bruteforce(v, 2), "n", 1, trees.MULTISET_SCAN_CAP,
+    ),
+    "zero_sum_multisets_bruteforce-k": (
+        lambda v: trees.zero_sum_multisets_bruteforce(2, v), "k", 0, trees.MULTISET_SCAN_CAP,
+    ),
+    "all_graph_degree_sequences": (
+        graphseq.all_graph_degree_sequences, "n", 0, graphseq.ORACLE_CAP,
+    ),
+    "ratio_table": (graphseq.ratio_table, "n_max", 0, graphseq.COUNT_CAP),
+    # by keyword: an untyped cache serves n=True or terms=True the entry for 1
+    "euler_phi": (lambda v: euler_phi(n=v), "n", 1, None),
+    "divisors": (divisors, "n", 1, None),
+    "series_tail_bound": (constants.series_tail_bound, "terms", 1, None),
+    "tree_series": (lambda v: constants.tree_series(terms=v), "terms", 1, None),
+    "stop_time_outcome": (lambda v: walks_mc.stop_time_outcome([0], v), "horizon", 1, None),
+    "estimate-samples": (lambda v: walks_mc.estimate_zero_area_prob(v, 1, 0), "samples", 1, None),
+    "estimate-horizon": (lambda v: walks_mc.estimate_zero_area_prob(1, v, 0), "horizon", 1, None),
+    "estimate-seed": (lambda v: walks_mc.estimate_zero_area_prob(1, 1, v), "seed", 0, None),
+    "estimate-workers": (
+        lambda v: walks_mc.estimate_zero_area_prob(1, 1, 0, workers=v), "workers", 1, None,
+    ),
+    "run_suite": (lambda v: verify.run_suite("oracles", v), "n_max", 1, None),
+}
+
+
+@pytest.mark.parametrize("call, name, least, cap", BOUNDARY.values(), ids=BOUNDARY.keys())
+def test_public_sizes_are_checked_at_the_boundary(call, name, least, cap):
+    # the least value is accepted first, so a cached entry for 1 cannot
+    # stand in for True or 2.0 below
+    call(least)
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"{name} must be >= {least}"):
+        call(least - 1)
+    if cap is not None:
+        with pytest.raises(ValueError, match=f"{name} is capped at {cap}"):
+            call(cap + 1)

@@ -41,6 +41,10 @@ def test_estimate_validation():
         walks_mc.estimate_zero_area_prob(0, 10, 1)
     with pytest.raises(ValueError):
         walks_mc.estimate_zero_area_prob(10, 10, 1, workers=0)
+    with pytest.raises(ValueError, match="horizon"):
+        walks_mc.estimate_zero_area_prob(100, 0, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        walks_mc.estimate_zero_area_prob(10, 10, seed=-1)
 
 
 def test_estimate_deterministic_and_worker_stable():
