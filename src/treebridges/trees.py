@@ -35,11 +35,11 @@ EXHAUSTIVE_PATH_CAP = 14
 # n = k: measured 0.5 s at 12 and 1.9 s at 13 (28 MB peak resident
 # memory) on a 2-core x86-64 host with Python 3.11
 MULTISET_SCAN_CAP = 12
-# the plane_tree_counts sieve holds every T(k) and binomial(2k-1, k) for
-# k <= n_max/2, about 2k bits each, so its memory grows like n_max^2:
-# measured 0.8 s / 97 MB at 20,000 and 4.4 s / 440 MB peak resident
-# memory at 50,000 (the deepest tree_series the tests ask for) on a
-# 2-core x86-64 host with Python 3.11
+# the plane_tree_counts sieve holds one sum of up to about 2k bits for
+# every k <= n_max, so its memory grows like n_max^2: measured 0.6 s /
+# 101 MB at 20,000 and 3.7 s / 443 MB peak resident memory at 50,000
+# (the deepest tree_series the tests ask for) on a 2-core x86-64 host
+# with Python 3.11
 TREE_TABLE_CAP = 50_000
 
 
@@ -58,22 +58,16 @@ def plane_tree_counts(n_max: int) -> tuple:
         if phi[p] == p:  # p prime
             for m in range(p, n_max + 1, p):
                 phi[m] -= phi[m] // p
-    half = n_max // 2  # the largest proper divisor of any k <= n_max
-    proper_divs: list[list[int]] = [[] for _ in range(n_max + 1)]
-    for d in range(1, half + 1):
-        for m in range(2 * d, n_max + 1, d):
-            proper_divs[m].append(d)
-    central = [0] * (half + 1)  # central[d] = binomial(2d-1, d)
     out = [0] * (n_max + 1)
     c = 1
     for k in range(1, n_max + 1):
         if k > 1:
             c = c * (2 * (2 * k - 1)) // k
-        if k <= half:
-            central[k] = c
-        acc = c
-        for d in proper_divs[k]:
-            acc += central[d] * phi[k // d]
+        # out[k] already holds the terms of the proper divisors of k;
+        # push this term, binomial(2k-1, k) * phi(m/k), to each multiple m
+        for m in range(2 * k, n_max + 1, k):
+            out[m] += c * phi[m // k]
+        acc = out[k] + c
         assert acc % k == 0
         out[k] = acc // k
     return tuple(out)

@@ -15,62 +15,52 @@ from .numtheory import check_size
 Check = tuple[str, bool, str]
 
 
+def _each_n(name: str, n_max: int, fails, start: int = 1, also: str = "") -> Check:
+    """Run fails(n) for start <= n <= n_max and report the failing n."""
+    bad = [n for n in range(start, n_max + 1) if fails(n)]
+    detail = f"checked n <= {n_max}{also}" + (f", failures at {bad}" if bad else "")
+    return name, not bad, detail
+
+
 def check_log_transform_doubles_tree_counts(n_max: int = 24) -> Check:
-    b = list(bridges.graphical_bridge_counts(n_max))
-    star = series.log_transform(b)
-    want = [2 * t for t in trees.plane_tree_counts(n_max)[1:]]
-    ok = star == want
-    return (
+    star = series.log_transform(list(bridges.graphical_bridge_counts(n_max)))
+    t = trees.plane_tree_counts(n_max)
+    return _each_n(
         "log transform of bridge counts doubles tree counts",
-        ok,
-        f"checked n <= {n_max}",
+        n_max,
+        lambda n: star[n - 1] != 2 * t[n],
     )
 
 
 def check_mean_inverse_parts_identity(n_max: int = 24) -> Check:
     b = bridges.graphical_bridge_counts(n_max)
     t = trees.plane_tree_counts(n_max)
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if series.mean_inverse_parts(n) * n * b[n] != 2 * t[n]
-    ]
-    return (
+    return _each_n(
         "mean inverse part count times n B_n gives twice the tree count",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures at {bad}" if bad else ""),
+        n_max,
+        lambda n: series.mean_inverse_parts(n) * n * b[n] != 2 * t[n],
     )
 
 
 def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Check:
-    b = list(bridges.graphical_bridge_counts(n_max))
-    fromseries = series.irreducible_bridge_counts(b)
-    bad = []
-    for n in range(1, n_max + 1):
-        direct = sum(
+    fromseries = series.irreducible_bridge_counts(list(bridges.graphical_bridge_counts(n_max)))
+    return _each_n(
+        "irreducible counts from series inversion match enumeration",
+        n_max,
+        lambda n: fromseries[n]
+        != sum(
             1
             for br in bridges.enumerate_graphical_bridges(n)
             if bridges.is_irreducible_bridge(br)
-        )
-        if direct != fromseries[n]:
-            bad.append((n, direct, fromseries[n]))
-    return (
-        "irreducible counts from series inversion match enumeration",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures {bad}" if bad else ""),
+        ),
     )
 
 
 def check_parts_distribution_normalized(n_max: int = 20) -> Check:
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if sum(series.parts_count_distribution(n).values(), Fraction(0)) != 1
-    ]
-    return (
+    return _each_n(
         "part count distribution sums to one exactly",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures at {bad}" if bad else ""),
+        n_max,
+        lambda n: sum(series.parts_count_distribution(n).values(), Fraction(0)) != 1,
     )
 
 
@@ -88,89 +78,54 @@ def check_negbin_distance_shrinks(n_max: int = 40) -> Check:
 
 
 def check_path_map_roundtrip(n_max: int = 6) -> Check:
+    name = "path map round trips on every graphical bridge"
     seen = 0
     for n in range(1, n_max + 1):
         for br in bridges.enumerate_graphical_bridges(n):
             path, ell = bijections.bridge_to_path(br)
             if bijections.path_to_bridge(path) != br:
-                return (
-                    "path map round trips on every graphical bridge",
-                    False,
-                    f"failed at {bridges.bridge_to_string(br)}",
-                )
+                return name, False, f"failed at {bridges.bridge_to_string(br)}"
             area = trees.path_area(path)
             if area != bridges.diamond_area(br) + ell * n:
-                return (
-                    "path map round trips on every graphical bridge",
-                    False,
-                    f"area mismatch at {bridges.bridge_to_string(br)}",
-                )
+                return name, False, f"area mismatch at {bridges.bridge_to_string(br)}"
             seen += 1
-    return (
-        "path map round trips on every graphical bridge",
-        True,
-        f"{seen} bridges, n <= {n_max}, exact area bookkeeping",
-    )
+    return name, True, f"{seen} bridges, n <= {n_max}, exact area bookkeeping"
 
 
 def check_shift_map_bijection(n_max: int = 6) -> Check:
+    name = "shift map is a bijection onto balanced divisible-area walks"
     for n in range(1, n_max + 1):
         images = set()
         total = 0
         for pair in bijections.enumerate_shifted_pairs(n):
             w = bijections.shift_bridge(pair)
             if w in images:
-                return (
-                    "shift map is a bijection onto balanced divisible-area walks",
-                    False,
-                    f"collision at n = {n}",
-                )
+                return name, False, f"collision at n = {n}"
             images.add(w)
             if bijections.unshift_bridge(w) != pair:
-                return (
-                    "shift map is a bijection onto balanced divisible-area walks",
-                    False,
-                    f"inverse mismatch at n = {n}",
-                )
+                return name, False, f"inverse mismatch at n = {n}"
             total += 1
         target = bridges.count_bridges_area_divisible(n)
         if total != target:
-            return (
-                "shift map is a bijection onto balanced divisible-area walks",
-                False,
-                f"n = {n}: {total} pairs vs {target} walks",
-            )
-    return (
-        "shift map is a bijection onto balanced divisible-area walks",
-        True,
-        f"checked n <= {n_max} with explicit inverses",
-    )
+            return name, False, f"n = {n}: {total} pairs vs {target} walks"
+    return name, True, f"checked n <= {n_max} with explicit inverses"
 
 
 def check_path_count_identity(n_max: int = 30) -> Check:
     t = trees.plane_tree_counts(n_max)
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if trees.count_paths_by_final_step(n) != (t[n], t[n])
-    ]
-    return (
+    return _each_n(
         "divisible-area path counts equal tree counts by final step",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures at {bad}" if bad else ""),
+        n_max,
+        lambda n: trees.count_paths_by_final_step(n) != (t[n], t[n]),
     )
 
 
 def check_bridge_walk_counts_agree(n_max: int = 30) -> Check:
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if bridges.count_bridges_area_divisible(n) != trees.count_paths_area_divisible(n)
-    ]
-    return (
+    return _each_n(
         "divisible-area walk counts match divisible-area path counts",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures at {bad}" if bad else ""),
+        n_max,
+        lambda n: bridges.count_bridges_area_divisible(n)
+        != trees.count_paths_area_divisible(n),
     )
 
 
@@ -190,43 +145,33 @@ def check_growth_constant_consistency() -> Check:
 
 def check_bridge_counts_match_enumeration(n_max: int = 7) -> Check:
     counts = bridges.graphical_bridge_counts(n_max)
-    bad = [
-        n
-        for n in range(n_max + 1)
-        if counts[n] != sum(1 for _ in bridges.enumerate_graphical_bridges(n))
-    ]
-    return (
+    return _each_n(
         "bridge counting recursion matches exhaustive enumeration",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures at {bad}" if bad else ""),
+        n_max,
+        lambda n: counts[n] != sum(1 for _ in bridges.enumerate_graphical_bridges(n)),
+        start=0,
     )
 
 
 def check_degree_sequence_oracle(n_max: int = 6) -> Check:
-    bad = [
-        n
-        for n in range(1, n_max + 1)
-        if graphseq.count_graphical_sequences(n) != len(graphseq.all_graph_degree_sequences(n))
-    ]
-    return (
+    return _each_n(
         "graphical sequence counts match degree sequences of actual graphs",
-        not bad,
-        f"checked n <= {n_max}" + (f", failures at {bad}" if bad else ""),
+        n_max,
+        lambda n: graphseq.count_graphical_sequences(n)
+        != len(graphseq.all_graph_degree_sequences(n)),
     )
 
 
 def check_multiset_formula(n_max: int = 7) -> Check:
     k_max = 6
-    bad = [
-        (n, k)
-        for n in range(1, n_max + 1)
-        for k in range(k_max + 1)
-        if trees.zero_sum_multisets(n, k) != trees.zero_sum_multisets_bruteforce(n, k)
-    ]
-    return (
+    return _each_n(
         "zero-sum multiset formula matches direct enumeration",
-        not bad,
-        f"checked n <= {n_max}, k <= {k_max}" + (f", failures {bad}" if bad else ""),
+        n_max,
+        lambda n: any(
+            trees.zero_sum_multisets(n, k) != trees.zero_sum_multisets_bruteforce(n, k)
+            for k in range(k_max + 1)
+        ),
+        also=f", k <= {k_max}",
     )
 
 

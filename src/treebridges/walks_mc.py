@@ -108,17 +108,14 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
         apath += area[:, None]
         stop = (ypath == 0) & (apath <= 0)
         hit = stop.any(axis=1)
-        if hit.any():
-            first = np.argmax(stop[hit], axis=1)
-            stop_area = apath[hit][np.arange(first.size), first]
-            zero += int(np.count_nonzero(stop_area == 0))
-            negative += int(np.count_nonzero(stop_area < 0))
-            alive = ~hit
-            y = ypath[alive, -1].copy()
-            area = apath[alive, -1].copy()
-        else:
-            y = ypath[:, -1].copy()
-            area = apath[:, -1].copy()
+        first = np.argmax(stop[hit], axis=1)
+        stop_area = apath[hit][np.arange(first.size), first]
+        zero += int(np.count_nonzero(stop_area == 0))
+        negative += int(np.count_nonzero(stop_area < 0))
+        # boolean indexing copies, so the block's arrays can be freed
+        alive = ~hit
+        y = ypath[alive, -1]
+        area = apath[alive, -1]
         done += width
     return zero, negative, y.size
 
@@ -128,10 +125,12 @@ def estimate_zero_area_prob(
 ) -> McEstimate:
     """Estimate the zero-area stopping probability.
 
-    Deterministic for fixed (samples, horizon, seed, workers): worker w
-    runs its share of the samples on the substream spawned from
-    (seed, w).  Workers are independent batches; they are executed
-    sequentially, the knob exists for reproducible stream splitting.
+    Deterministic for fixed (samples, horizon, seed, workers): the
+    samples are split into max(workers, ceil(16 samples / _BLOCK_BUDGET))
+    near-equal shares, at most 250,000 walks each so that a first block
+    of 16 steps fits the budget, and share w runs on the substream
+    spawned from (seed, w).  The shares run sequentially; the workers
+    knob exists for reproducible stream splitting.
     """
     check_size("samples", samples, 1)
     check_size("horizon", horizon, 1)
@@ -139,8 +138,9 @@ def estimate_zero_area_prob(
     check_size("seed", seed, 0)
     check_size("workers", workers, 1)
     zero = negative = capped = 0
-    base, extra = divmod(samples, workers)
-    for w in range(workers):
+    shares = max(workers, math.ceil(samples * 16 / _BLOCK_BUDGET))
+    base, extra = divmod(samples, shares)
+    for w in range(shares):
         share = base + (1 if w < extra else 0)
         if share == 0:
             continue

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -129,6 +130,48 @@ def test_verify_suite_passes(capsys):
     lines = out.splitlines()
     assert all(line.startswith("ok") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+VERIFY_ALL = [
+    "ok   log transform of bridge counts doubles tree counts (checked n <= 24)",
+    "ok   mean inverse part count times n B_n gives twice the tree count (checked n <= 24)",
+    "ok   irreducible counts from series inversion match enumeration (checked n <= 8)",
+    "ok   part count distribution sums to one exactly (checked n <= 20)",
+    "ok   distance from part counts to the shifted negative binomial shrinks"
+    " (tv(10) = #, tv(40) = #)",
+    "ok   path map round trips on every graphical bridge"
+    " (161 bridges, n <= 6, exact area bookkeeping)",
+    "ok   shift map is a bijection onto balanced divisible-area walks"
+    " (checked n <= 6 with explicit inverses)",
+    "ok   divisible-area path counts equal tree counts by final step (checked n <= 30)",
+    "ok   divisible-area walk counts match divisible-area path counts (checked n <= 30)",
+    "ok   growth constant, stopping probability and gamma prefactor cohere"
+    " (C sqrt(1 - rho) in [#, #])",
+    "ok   bridge counting recursion matches exhaustive enumeration (checked n <= 7)",
+    "ok   graphical sequence counts match degree sequences of actual graphs (checked n <= 6)",
+    "ok   zero-sum multiset formula matches direct enumeration (checked n <= 7, k <= 6)",
+    "13 of 13 checks passed",
+]
+
+VERIFY_LEMMAS_12 = [
+    "ok   divisible-area path counts equal tree counts by final step (checked n <= 12)",
+    "ok   divisible-area walk counts match divisible-area path counts (checked n <= 12)",
+    "ok   growth constant, stopping probability and gamma prefactor cohere"
+    " (C sqrt(1 - rho) in [#, #])",
+    "3 of 3 checks passed",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(("--suite", "all"), VERIFY_ALL), (("--suite", "lemmas", "--n-max", "12"), VERIFY_LEMMAS_12)],
+    ids=["all", "lemmas-12"],
+)
+def test_verify_output_is_frozen(capsys, argv, want):
+    # every printed line is pinned, with the floating decimals masked
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert [re.sub(r"\d+\.\d+", "#", line) for line in out.splitlines()] == want
 
 
 def test_verify_rejects_unknown_suite(capsys):

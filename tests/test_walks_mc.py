@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -45,6 +46,21 @@ def test_estimate_validation():
         walks_mc.estimate_zero_area_prob(100, 0, seed=1)
     with pytest.raises(ValueError, match="seed"):
         walks_mc.estimate_zero_area_prob(10, 10, seed=-1)
+
+
+def test_estimate_memory_stays_within_the_block_budget():
+    # a worker runs at most 250,000 walks at a time, so the first block,
+    # 16 steps wide, stays within _BLOCK_BUDGET elements; in one block of
+    # 1e6 walks the same run peaks near 400 MiB
+    tracemalloc.start()
+    try:
+        est = walks_mc.estimate_zero_area_prob(1_000_000, 16, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 1_000_000
+    assert 0.0 < est.capped_fraction < 1.0
+    assert peak < 150 * 2**20
 
 
 def test_estimate_deterministic_and_worker_stable():
