@@ -24,6 +24,7 @@ from .bridges import (
     Walk,
     _check_bridge,
     diamond_area,
+    enumerate_graphical_bridges,
     irreducible_decomposition,
     is_graphical_bridge,
 )
@@ -61,8 +62,6 @@ class ShiftedPair:
 
 def enumerate_shifted_pairs(n: int):
     """All ShiftedPairs over graphical bridges of length 2n."""
-    from .bridges import enumerate_graphical_bridges
-
     for bridge in enumerate_graphical_bridges(n):
         if n == 0:
             continue

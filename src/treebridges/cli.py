@@ -110,24 +110,16 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     if not 1 <= args.digits <= 12:
         return _usage_error(f"digits must be between 1 and 12, got {args.digits}")
-    xi = constants.tree_series()
-    c = constants.count_growth_constant()
-    rho = constants.exact_zero_area_prob()
-    g34 = constants.gamma_three_quarters()
+    vals = {
+        "xi": constants.tree_series(),
+        "C": constants.count_growth_constant(),
+        "rho": constants.exact_zero_area_prob(),
+        "gamma34": constants.gamma_three_quarters(),
+    }
     # rounding the value can move it by half an ulp, fold that into the bound
     slop = 0.5 * 10.0 ** (-args.digits)
-    payload = {
-        "xi": round(xi.value, args.digits),
-        "C": round(c.value, args.digits),
-        "rho": round(rho.value, args.digits),
-        "gamma34": round(g34.value, args.digits),
-        "bounds": {
-            "xi": xi.error_bound + slop,
-            "C": c.error_bound + slop,
-            "rho": rho.error_bound + slop,
-            "gamma34": g34.error_bound + slop,
-        },
-    }
+    payload = {key: round(v.value, args.digits) for key, v in vals.items()}
+    payload["bounds"] = {key: v.error_bound + slop for key, v in vals.items()}
     print(json.dumps(payload, indent=2))
     return 0
 

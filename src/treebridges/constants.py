@@ -26,19 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .numtheory import check_size
 from .trees import plane_tree_counts
 
-# terms up to here are accumulated as exact rationals and rounded once
-EXACT_TERMS = 64
 DEFAULT_TERMS = 10_000
 
-# conservative cover for every floating-point rounding in the series
-# evaluation: per-term conversions are correctly rounded (int / int),
-# the float tail is fsum'd, and the final additions cost a few ulps
+# cover for the floating-point rounding of the series: each int / int
+# term is correctly rounded and math.fsum rounds their sum once, so the
+# float value is within 2^-52 * xi (about 8e-17) of the partial sum
 FLOAT_SLOP = 5e-15
 
 
@@ -71,24 +68,20 @@ def series_tail_bound(terms: int) -> float:
     return 2.0 / (3.0 * math.sqrt(math.pi)) * terms**-1.5
 
 
-# typed, here and below, so that True is not served the cached entry for 1
+# the one xi of a process: C, rho and the CLI all read tree_series();
+# typed, so that True is not served the cached entry for 1
 @lru_cache(maxsize=8, typed=True)
 def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """Partial sum of sum_k T(k) / (k * 4^k) with a rigorous bound.
 
-    The first EXACT_TERMS terms are summed as exact rationals and
-    rounded once; later terms are converted individually (int by int
-    division is correctly rounded) and combined with math.fsum.  The
-    error bound is the series tail plus FLOAT_SLOP.  terms is capped at
+    Every term is converted on its own (int by int division is correctly
+    rounded) and the terms are added by one math.fsum.  The error bound
+    is the series tail plus FLOAT_SLOP.  terms is capped at
     trees.TREE_TABLE_CAP.
     """
     check_size("terms", terms, 1)
     trees = plane_tree_counts(terms)
-    exact = Fraction(0)
-    for k in range(1, min(terms, EXACT_TERMS) + 1):
-        exact += Fraction(trees[k], k << (2 * k))
-    rest = [trees[k] / (k << (2 * k)) for k in range(EXACT_TERMS + 1, terms + 1)]
-    value = float(exact) + math.fsum(rest)
+    value = math.fsum(trees[k] / (k << (2 * k)) for k in range(1, terms + 1))
     return BoundedReal(value, series_tail_bound(terms) + FLOAT_SLOP)
 
 
@@ -112,22 +105,20 @@ def gamma_prefactor() -> BoundedReal:
     )
 
 
-@lru_cache(maxsize=8, typed=True)
-def count_growth_constant(terms: int = DEFAULT_TERMS) -> BoundedReal:
+def count_growth_constant() -> BoundedReal:
     """C: the constant in the 4^n / n^(3/4) growth of the number of
     graphical sequences; equals gamma_prefactor * exp(tree series)."""
-    xi = tree_series(terms)
+    xi = tree_series()
     pref = gamma_prefactor()
     lo = pref.low * math.exp(xi.low)
     hi = pref.high * math.exp(xi.high)
     return BoundedReal.from_interval(lo, hi, slack=4e-17)
 
 
-@lru_cache(maxsize=8, typed=True)
-def exact_zero_area_prob(terms: int = DEFAULT_TERMS) -> BoundedReal:
+def exact_zero_area_prob() -> BoundedReal:
     """rho: probability that the stopped lazy walk has area exactly
     zero; equals 1 - exp(-2 * tree series), increasing in the series."""
-    xi = tree_series(terms)
+    xi = tree_series()
     lo = -math.expm1(-2.0 * xi.low)
     hi = -math.expm1(-2.0 * xi.high)
     return BoundedReal.from_interval(lo, hi, slack=4e-17)

@@ -26,7 +26,6 @@ on up to 6 vertices certify the test and the counts independently.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -59,7 +58,7 @@ def _erdos_gallai_descending(d: list[int]) -> bool:
 def is_graphical_sequence(seq) -> bool:
     """Realizability test for a non-decreasing degree sequence.
 
-    Entries must lie in [0, n-1] and the sequence must be sorted
+    Entries must be ints in [0, n-1] and the sequence must be sorted
     non-decreasing; both are validated.
     """
     d = list(seq)
@@ -67,8 +66,7 @@ def is_graphical_sequence(seq) -> bool:
     if n == 0:
         return True
     for v in d:
-        if not isinstance(v, int) or not 0 <= v <= n - 1:
-            raise ValueError(f"degree {v!r} outside [0, {n - 1}]")
+        check_size("degree", v, 0, n - 1)
     if any(d[i] > d[i + 1] for i in range(n - 1)):
         raise ValueError("degree sequence must be non-decreasing")
     if sum(d) % 2:
@@ -157,8 +155,6 @@ def _fit(stacks, size: int):
     return out
 
 
-# typed, so that True is not served the cached entry for 1
-@lru_cache(maxsize=None, typed=True)
 def graphical_sequence_counts(n_max: int) -> tuple:
     """(G(0), G(1), ..., G(n_max)): graphical degree sequences of each
     length, G(0) = 1 counting the empty sequence.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .constants import exact_zero_area_prob
 from .numtheory import check_size
 from .trees import plane_tree_counts
 
@@ -129,8 +130,6 @@ def parts_negbin_tv_distance(n: int) -> float:
     X counts failures before the second success, so
     P(1 + X = m) = m * (1-rho)^2 * rho^(m-1) for m >= 1.
     """
-    from .constants import exact_zero_area_prob
-
     rho = exact_zero_area_prob().value
     dist = parts_count_distribution(n)
     acc = 0.0

@@ -19,7 +19,6 @@ comes from the divisor sum in zero_sum_multisets, since T(n) = M(n, n).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .bridges import RESIDUE_DP_CAP
@@ -43,8 +42,6 @@ MULTISET_SCAN_CAP = 12
 TREE_TABLE_CAP = 50_000
 
 
-# typed, so that True is not served the cached entry for 1
-@lru_cache(maxsize=4, typed=True)
 def plane_tree_counts(n_max: int) -> tuple:
     """(T(0), T(1), ..., T(n_max)), with T(0) = 0, built in one sieved sweep.
 

@@ -33,6 +33,8 @@ from .numtheory import check_int, check_size
 SAMPLING_CAP = 100
 # elements per simulation block; keeps peak numpy memory modest
 _BLOCK_BUDGET = 4_000_000
+# the increment of each of the four equally likely draws
+_STEPS = np.array([1, -1, 0, 0], dtype=np.int64)
 
 
 class WalkOutcome(enum.Enum):
@@ -99,17 +101,15 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     while y.size and done < horizon:
         width = min(max(16, _BLOCK_BUDGET // y.size), horizon - done)
         u = rng.integers(0, 4, size=(y.size, width), dtype=np.int8)
-        inc = (u == 0).astype(np.int64)
-        inc -= u == 1
-        np.cumsum(inc, axis=1, out=inc)
-        ypath = inc
-        ypath += y[:, None]
+        ypath = _STEPS[u]
+        ypath[:, 0] += y
+        np.cumsum(ypath, axis=1, out=ypath)
         apath = np.cumsum(ypath, axis=1)
         apath += area[:, None]
         stop = (ypath == 0) & (apath <= 0)
         hit = stop.any(axis=1)
-        first = np.argmax(stop[hit], axis=1)
-        stop_area = apath[hit][np.arange(first.size), first]
+        rows = np.flatnonzero(hit)
+        stop_area = apath[rows, stop[rows].argmax(axis=1)]
         zero += int(np.count_nonzero(stop_area == 0))
         negative += int(np.count_nonzero(stop_area < 0))
         # boolean indexing copies, so the block's arrays can be freed

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from treebridges import bridges, cli, graphseq, series, trees
+from treebridges import bridges, cli, constants, graphseq, series, trees
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +191,13 @@ def test_constants_json_contract(capsys):
     assert payload["xi"] == pytest.approx(0.362631, abs=1e-6)
     assert payload["gamma34"] == pytest.approx(1.225417, abs=1e-6)
     assert all(b > 0 for b in payload["bounds"].values())
+
+
+def test_constants_sums_the_tree_series_once(capsys):
+    # xi, C and rho all read the one default tree_series entry
+    constants.tree_series.cache_clear()
+    assert run_cli(capsys, "constants", "--digits", "12")[0] == 0
+    assert constants.tree_series.cache_info().misses == 1
 
 
 def test_constants_digit_bounds(capsys):

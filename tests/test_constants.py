@@ -99,8 +99,13 @@ def test_gamma_prefactor():
 def test_count_growth_constant_brackets_reference():
     c = constants.count_growth_constant()
     assert abs(c.value - C_REF) <= c.error_bound + REF_SLOP
-    # more terms must stay inside the coarser interval
-    finer = constants.count_growth_constant(50_000)
+    # C's formula recomputed from 50,000 terms must stay inside the
+    # coarser interval, and be tighter
+    pref = constants.gamma_prefactor()
+    xi = constants.tree_series(50_000)
+    finer = constants.BoundedReal.from_interval(
+        pref.low * math.exp(xi.low), pref.high * math.exp(xi.high)
+    )
     assert c.low - REF_SLOP <= finer.value <= c.high + REF_SLOP
     assert finer.error_bound < c.error_bound
 

@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -61,6 +62,21 @@ def test_estimate_memory_stays_within_the_block_budget():
     assert est.samples == 1_000_000
     assert 0.0 < est.capped_fraction < 1.0
     assert peak < 150 * 2**20
+
+
+@pytest.mark.parametrize(
+    "samples, horizon, seed, counts",
+    [
+        (3000, 5000, 0, (1545, 1258, 197)),
+        (20_000, 200, 1, (10288, 6693, 3019)),
+        (500, 200_000, 2, (262, 230, 8)),
+    ],
+)
+def test_run_worker_stream_is_pinned(samples, horizon, seed, counts):
+    # (zero, negative, capped) on substream (seed, 0), frozen so that a
+    # rewrite of the block scan cannot change the draws or their reading
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    assert walks_mc._run_worker(samples, horizon, ss) == counts
 
 
 def test_estimate_deterministic_and_worker_stable():
