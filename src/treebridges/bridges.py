@@ -18,14 +18,14 @@ irreducible parts.
 
 Graphical bridges are counted by one forward DP over (height, area)
 after each pair of increments, bridge_layers.  It is pruned to states
-whose area can still return to 0, and it serves both
+whose area can still return to 0, by a closed form for the least area
+that the remaining pairs add (see bridge_layers).  It serves both
 graphical_bridge_counts and the exact sampler in walks_mc, which draws
 backward from its layers.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
@@ -59,15 +59,10 @@ def _check_bridge(walk: Walk) -> None:
 
 
 def diamond_area(walk: Walk) -> int:
-    """Half the sum of the walk's even-indexed positions (exact)."""
-    _check_even_length(walk)
-    height = 0
-    doubled = 0
-    for i in range(0, len(walk), 2):
-        height += walk[i] + walk[i + 1]
-        doubled += height
-    assert doubled % 2 == 0
-    return doubled // 2
+    """Half the sum of the walk's even-indexed positions (exact): the
+    last even-prefix area, or 0 for the empty walk."""
+    areas = even_prefix_areas(walk)
+    return areas[-1] if areas else 0
 
 
 def lazify(walk: Walk) -> tuple:
@@ -125,17 +120,11 @@ def irreducible_decomposition(bridge: Walk) -> list[Walk]:
     """
     if not is_graphical_bridge(bridge):
         raise ValueError("irreducible_decomposition needs a graphical bridge")
-    parts = []
-    height = 0
-    sigma = 0
-    start = 0
-    for i in range(0, len(bridge), 2):
-        height += bridge[i] + bridge[i + 1]
-        sigma += height // 2
-        if height == 0 and sigma == 0:
-            parts.append(bridge[start : i + 2])
-            start = i + 2
-    return parts
+    # a pair adds half its new height to sigma, so the height after pair
+    # j is 0 exactly where sigma_j = sigma_{j-1} (with sigma_0 = 0)
+    areas = [0] + even_prefix_areas(bridge)
+    cuts = [2 * j for j in range(1, len(areas)) if areas[j] == areas[j - 1] == 0]
+    return [bridge[i:j] for i, j in zip([0] + cuts, cuts)]
 
 
 def is_irreducible_bridge(bridge: Walk) -> bool:
@@ -145,9 +134,7 @@ def is_irreducible_bridge(bridge: Walk) -> bool:
     bridge, so the decomposition has exactly one part.  The empty bridge
     is graphical but not irreducible.
     """
-    if not is_graphical_bridge(bridge):
-        return False
-    return len(irreducible_decomposition(bridge)) == 1
+    return is_graphical_bridge(bridge) and len(irreducible_decomposition(bridge)) == 1
 
 
 def enumerate_bridges(n: int) -> Iterator[Walk]:
@@ -177,24 +164,6 @@ def enumerate_graphical_bridges(n: int) -> Iterator[Walk]:
 _BLOCKS = ((2, 1), (-2, 1), (0, 2))
 
 
-def _closing_area_floor(n_max: int) -> list[list]:
-    """floor[r][a + n_max]: the least area that r blocks add to a walk
-    starting at half-height a and ending at height 0 (inf if none can).
-
-    A block moves the half-height by +1, -1 or 0 and then adds the new
-    half-height to the area, as in bridge_layers.
-    """
-    width = 2 * n_max + 1
-    floor = [[0 if i == n_max else math.inf for i in range(width)]]
-    for _ in range(n_max):
-        prev = floor[-1]
-        floor.append([
-            min(prev[j] + j - n_max for j in (i - 1, i, i + 1) if 0 <= j < width)
-            for i in range(width)
-        ])
-    return floor
-
-
 def bridge_layers(n_max: int) -> Iterator[dict]:
     """Forward layers of the graphical-bridge DP, pruned to states that
     can still close by block n_max.
@@ -205,22 +174,33 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
     graphical bridges of length 2k.
 
     The prune drops a state when sigma plus the least area that the
-    remaining n_max - k blocks can add on the way back to height 0 is
-    still positive: its area can never return to 0.  Below height 0 it
-    also drops a state at half-height -(j+1) with sigma < j(j+1)/2: the
-    climb back passes half-heights -j, ..., -1 and would drive an
-    even-prefix area negative.  A state that can close is never
-    dropped, nor is any state on a prefix leading to it, so its count is
-    the unpruned count.  The mixed block holds (0, 0) fixed, so (0, 0)
-    can close from every layer: the counts for all lengths up to
-    2*n_max are exact, not only the last.  Callers validate n_max.
+    remaining r = n_max - k blocks can add on the way back to height 0
+    is still positive: its area can never return to 0.  A block moves
+    the half-height by +1, -1 or 0, then adds the new half-height to
+    sigma.  After j of its r blocks a path from half-height a to 0 is at
+    least max(a - j, j - r), and the least area follows that floor:
+    straight down to b = (a + s - r)/2, s = (r - a) mod 2 blocks held at
+    b, straight up.  It adds a-1, ..., b, then s*b, then b+1, ..., 0:
+    a(a-1)/2 - b^2 + s*b in all; no path closes from |a| > r.
+
+    Below height 0 the prune also drops a state at half-height -(j+1)
+    with sigma < j(j+1)/2: the climb back passes half-heights -j, ...,
+    -1 and would drive an even-prefix area negative.  A state that can
+    close is never dropped, nor is any state on a prefix leading to it,
+    so its count is the unpruned count.  The mixed block holds (0, 0)
+    fixed, so (0, 0) can close from every layer: the counts for all
+    lengths up to 2*n_max are exact, not only the last.  Callers
+    validate n_max.
     """
-    floor = _closing_area_floor(n_max)
     states = {(0, 0): 1}
     yield states
-    for k in range(1, n_max + 1):
-        # room[a + n_max]: the largest sigma at half-height a that can close
-        room = [-f for f in floor[n_max - k]]
+    for r in reversed(range(n_max)):  # r blocks left after this one
+        # room[a + n_max]: the largest sigma at half-height a that can close, or -1
+        room = [-1] * (2 * n_max + 1)
+        for a in range(-r, r + 1):
+            s = (r - a) % 2
+            b = (a + s - r) // 2
+            room[a + n_max] = b * b - s * b - a * (a - 1) // 2
         nxt: dict = {}
         for (height, sigma), ways in states.items():
             for dh, weight in _BLOCKS:
@@ -233,10 +213,7 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
                 if half < 0 and s2 < half * (half + 1) // 2:
                     continue
                 key = (h2, s2)
-                if key in nxt:
-                    nxt[key] += weight * ways
-                else:
-                    nxt[key] = weight * ways
+                nxt[key] = nxt.get(key, 0) + weight * ways
         states = nxt
         yield states
 
@@ -273,10 +250,7 @@ def count_bridges_area_divisible(n: int) -> int:
                 if h2 > reach or h2 < -reach:
                     continue
                 key = (h2, (res + h2 // 2) % n)
-                if key in nxt:
-                    nxt[key] += weight * ways
-                else:
-                    nxt[key] = weight * ways
+                nxt[key] = nxt.get(key, 0) + weight * ways
         states = nxt
     return states.get((0, 0), 0)
 

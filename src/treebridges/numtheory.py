@@ -22,11 +22,16 @@ def check_size(name: str, value, least: int, cap: int | None = None) -> None:
         raise ValueError(f"{name} is capped at {cap}, got {value}")
 
 
+# euler_phi and divisors trial-divide up to sqrt(n): 0.13-0.36 s and
+# 0.13-0.16 s at the prime 10**12 + 39 (2-core x86-64, Python 3.11)
+TRIAL_DIVISION_CAP = 10**12
+
+
 # typed, so that True is not served the cached entry for 1
 @lru_cache(maxsize=None, typed=True)
 def euler_phi(n: int) -> int:
     """Euler's totient of n, by trial-division factorization."""
-    check_size("n", n, 1)
+    check_size("n", n, 1, TRIAL_DIVISION_CAP)
     result = n
     m = n
     p = 2
@@ -43,7 +48,7 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors of n."""
-    check_size("n", n, 1)
+    check_size("n", n, 1, TRIAL_DIVISION_CAP)
     small, large = [], []
     d = 1
     while d * d <= n:

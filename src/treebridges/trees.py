@@ -38,7 +38,8 @@ MULTISET_SCAN_CAP = 12
 # every k <= n_max, so its memory grows like n_max^2: measured 0.6 s /
 # 101 MB at 20,000 and 3.7 s / 443 MB peak resident memory at 50,000
 # (the deepest tree_series the tests ask for) on a 2-core x86-64 host
-# with Python 3.11
+# with Python 3.11; it caps n and k of the single values too, where
+# zero_sum_multisets took 0.3 s at 50,000 and 66 s at 10**6
 TREE_TABLE_CAP = 50_000
 
 
@@ -77,7 +78,7 @@ def plane_tree_count(n: int) -> int:
     binomial(2d-1, d) * phi(n/d) is the divisor sum of M(n, n) with
     d -> n/d, so one value costs one divisor sum and no table.
     """
-    check_size("n", n, 1)
+    check_size("n", n, 1, TREE_TABLE_CAP)
     return zero_sum_multisets(n, n)
 
 
@@ -88,8 +89,8 @@ def zero_sum_multisets(n: int, k: int) -> int:
     binomial((n+k)/d - 1, k/d) * phi(d).  For k = 0 the divisor sum
     degenerates to the empty-multiset count, which is 1.
     """
-    check_size("n", n, 1)
-    check_size("k", k, 0)
+    check_size("n", n, 1, TREE_TABLE_CAP)
+    check_size("k", k, 0, TREE_TABLE_CAP)
     total = 0
     for d in divisors(math.gcd(k, n) if k else n):
         total += math.comb((n + k) // d - 1, k // d) * euler_phi(d)

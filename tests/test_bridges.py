@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given
@@ -54,9 +54,13 @@ def test_even_prefix_areas():
 
 @given(even_walks)
 def test_even_prefix_areas_end_at_total(walk):
-    prefixes = bridges.even_prefix_areas(walk)
-    total = prefixes[-1] if prefixes else 0
-    assert total == bridges.diamond_area(walk)
+    # each prefix's area recomputed as half the sum of its even positions,
+    # independently of the scan that diamond_area also reads
+    positions = list(accumulate(walk))
+    expected = [
+        Fraction(sum(positions[1 : 2 * j : 2]), 2) for j in range(1, len(walk) // 2 + 1)
+    ]
+    assert bridges.even_prefix_areas(walk) == expected
 
 
 def test_is_graphical_bridge_basics():
@@ -125,6 +129,52 @@ def test_bridge_layers_keep_only_states_a_bridge_visits():
         assert [set(layer) for layer in bridges.bridge_layers(n)] == visited
 
 
+def test_bridge_layers_state_total_frozen():
+    assert sum(len(layer) for layer in bridges.bridge_layers(45)) == 21_782
+
+
+def _least_closing_area(a, r):
+    """The least area over all 3^r half-height paths from a that end at 0
+    (each step +1, -1 or 0, then the new half-height is added), or None."""
+    areas = [
+        sum(heights) - a
+        for moves in product((1, -1, 0), repeat=r)
+        for heights in [list(accumulate(moves, initial=a))]
+        if heights[-1] == 0
+    ]
+    return min(areas, default=None)
+
+
+def test_bridge_layers_prune_is_the_bruteforce_closing_bound():
+    # a layer keeps exactly the reachable states whose area the cheapest
+    # closing path brings back to <= 0 and which, below height 0, sit at or
+    # above the area the climb back subtracts; least covers |a| <= r + 1,
+    # and no r steps close from farther out
+    least = {(a, r): _least_closing_area(a, r) for r in range(9) for a in range(-r - 1, r + 2)}
+    for n_max in range(1, 18):
+        reached = {(0, 0): 1}  # every prefix whose even-prefix areas are >= 0
+        for k, layer in enumerate(bridges.bridge_layers(n_max)):
+            if k:
+                nxt = {}
+                for (height, sigma), ways in reached.items():
+                    for dh, weight in ((2, 1), (-2, 1), (0, 2)):
+                        key = (height + dh, sigma + (height + dh) // 2)
+                        if key[1] >= 0:
+                            nxt[key] = nxt.get(key, 0) + weight * ways
+                reached = nxt
+            r = n_max - k
+            if r > 8:
+                continue
+            expected = {
+                (h, s): ways
+                for (h, s), ways in reached.items()
+                if least.get((h // 2, r)) is not None
+                and s + least[h // 2, r] <= 0
+                and (h >= 0 or s >= (h // 2) * (h // 2 + 1) // 2)
+            }
+            assert layer == expected, (n_max, k)
+
+
 def test_graphical_bridge_counts_cap():
     with pytest.raises(ValueError, match="capped"):
         bridges.graphical_bridge_counts(bridges.BRIDGE_DP_CAP + 1)
@@ -154,6 +204,18 @@ def test_decomposition_parts_concatenate(graphical_bridges_by_n):
             assert flat == b
             for p in parts:
                 assert bridges.is_irreducible_bridge(p)
+
+
+def test_decomposition_cuts_at_every_graphical_proper_prefix():
+    for n in range(1, 9):
+        for b in bridges.enumerate_graphical_bridges(n):
+            parts = bridges.irreducible_decomposition(b)
+            cuts = list(accumulate(len(p) for p in parts[:-1]))
+            graphical = [
+                i for i in range(2, 2 * n, 2)
+                if sum(b[:i]) == 0 and bridges.is_graphical_bridge(b[:i])
+            ]
+            assert cuts == graphical, b
 
 
 def test_decomposition_rejects_non_graphical():

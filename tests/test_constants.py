@@ -7,15 +7,19 @@ from scipy import integrate
 
 from treebridges import constants, trees
 
-# high-precision reference values, derived once from 200k-term exact
-# rational partial sums plus tail bounds, independently of the float
-# evaluation path under test
-XI_REF = 0.3626313393169178
-GAMMA34_REF = 1.2254167024651776
-PREFACTOR_REF = 0.06895391570755234
-C_REF = 0.09909408302913335
-RHO_REF = 0.5158026360529934
-REF_SLOP = 5e-9
+# the limits to 20 digits, independently of the float evaluation path
+# under test: xi = (pi^2/6 - 2 ln^2 2)/2 + (1/2) sum_{m>=2} phi(m)/m^2
+# sum_{d>=1} binomial(2d, d)/(d^2 4^(dm)) and Gamma(3/4), both evaluated
+# with mpmath at 45 digits, then prefactor = Gamma(3/4)/(2^(5/2) pi),
+# C = prefactor * exp(xi) and rho = 1 - exp(-2 xi)
+XI_REF = 0.36263134141951955540
+GAMMA34_REF = 1.2254167024651776451
+PREFACTOR_REF = 0.068953915707552328590
+C_REF = 0.099094083237488745361
+RHO_REF = 0.51580263808914185850
+# each reference, read as a double, lies within 3e-17 of its limit; the
+# slop covers that and the rounding of the difference, nothing more
+REF_SLOP = 1e-16
 
 
 def test_bounded_real_interval_api():

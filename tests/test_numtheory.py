@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treebridges import bridges, constants, graphseq, trees, verify, walks_mc
-from treebridges.numtheory import divisors, euler_phi
+from treebridges.numtheory import TRIAL_DIVISION_CAP, divisors, euler_phi
 
 
 def test_euler_phi_small_values():
@@ -70,6 +70,13 @@ BOUNDARY = {
     "count_paths_area_divisible_bruteforce": (
         trees.count_paths_area_divisible_bruteforce, "n", 1, trees.EXHAUSTIVE_PATH_CAP,
     ),
+    "zero_sum_multisets-n": (
+        lambda v: trees.zero_sum_multisets(v, 2), "n", 1, trees.TREE_TABLE_CAP,
+    ),
+    "zero_sum_multisets-k": (
+        lambda v: trees.zero_sum_multisets(2, v), "k", 0, trees.TREE_TABLE_CAP,
+    ),
+    "plane_tree_count": (trees.plane_tree_count, "n", 1, trees.TREE_TABLE_CAP),
     "zero_sum_multisets_bruteforce-n": (
         lambda v: trees.zero_sum_multisets_bruteforce(v, 2), "n", 1, trees.MULTISET_SCAN_CAP,
     ),
@@ -82,8 +89,8 @@ BOUNDARY = {
     "ratio_table": (graphseq.ratio_table, "n_max", 0, graphseq.COUNT_CAP),
     "is_graphical_sequence": (lambda v: graphseq.is_graphical_sequence((0, v)), "degree", 0, 1),
     # by keyword: an untyped cache serves n=True or terms=True the entry for 1
-    "euler_phi": (lambda v: euler_phi(n=v), "n", 1, None),
-    "divisors": (divisors, "n", 1, None),
+    "euler_phi": (lambda v: euler_phi(n=v), "n", 1, TRIAL_DIVISION_CAP),
+    "divisors": (divisors, "n", 1, TRIAL_DIVISION_CAP),
     "series_tail_bound": (constants.series_tail_bound, "terms", 1, None),
     "tree_series": (lambda v: constants.tree_series(terms=v), "terms", 1, None),
     "stop_time_outcome": (lambda v: walks_mc.stop_time_outcome([0], v), "horizon", 1, None),
