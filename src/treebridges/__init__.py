@@ -31,6 +31,7 @@ from .constants import (
     gamma_prefactor,
     gamma_three_quarters,
     tree_series,
+    xi,
 )
 from .graphseq import (
     all_graph_degree_sequences,
@@ -111,5 +112,6 @@ __all__ = [
     "simulate_stopped_walk",
     "tree_series",
     "unshift_bridge",
+    "xi",
     "zero_sum_multisets",
 ]

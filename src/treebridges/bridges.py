@@ -132,9 +132,21 @@ def is_irreducible_bridge(bridge: Walk) -> bool:
 
     Equivalently: no proper nonempty even prefix is itself a graphical
     bridge, so the decomposition has exactly one part.  The empty bridge
-    is graphical but not irreducible.
+    is graphical but not irreducible.  One scan over the even prefixes:
+    the area never negative, no interior point at height 0 and area 0,
+    and the end at area 0.
     """
-    return is_graphical_bridge(bridge) and len(irreducible_decomposition(bridge)) == 1
+    _check_bridge(bridge)
+    height = 0
+    sigma = 0
+    for i in range(0, len(bridge), 2):
+        if i and height == sigma == 0:
+            return False
+        height += bridge[i] + bridge[i + 1]
+        sigma += height // 2
+        if sigma < 0:
+            return False
+    return sigma == 0 and len(bridge) > 0
 
 
 def enumerate_bridges(n: int) -> Iterator[Walk]:

@@ -111,15 +111,20 @@ def cmd_constants(args) -> int:
     if not 1 <= args.digits <= 12:
         return _usage_error(f"digits must be between 1 and 12, got {args.digits}")
     vals = {
-        "xi": constants.tree_series(),
+        "xi": constants.xi(),
         "C": constants.count_growth_constant(),
         "rho": constants.exact_zero_area_prob(),
         "gamma34": constants.gamma_three_quarters(),
     }
-    # rounding the value can move it by half an ulp, fold that into the bound
-    slop = 0.5 * 10.0 ** (-args.digits)
+    # rounding to the printed digits moves the value by half a unit in
+    # the last digit, and the printed float by half an ulp more; fold
+    # both into the bound
     payload = {key: round(v.value, args.digits) for key, v in vals.items()}
-    payload["bounds"] = {key: v.error_bound + slop for key, v in vals.items()}
+    slop = 0.5 * 10.0 ** (-args.digits)
+    payload["bounds"] = {
+        key: v.error_bound + slop + 0.5 * math.ulp(payload[key])
+        for key, v in vals.items()
+    }
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -13,22 +13,66 @@ and the probability that the stopped lazy walk ends with area exactly
 zero is rho = 1 - exp(-2*xi).
 
 Every value is returned as a BoundedReal whose error_bound is meant
-rigorously.  The series tail after N terms is bounded by
+rigorously.  Two routes give xi.
+
+tree_series(terms) sums the definition over the sieve
+trees.plane_tree_counts; it is the oracle.  Its tail after N terms is
+bounded by
 
     tail(N) <= (2 / (3*sqrt(pi))) * N^(-3/2),
 
 which follows from k*T(k) <= 2*binomial(2k-1, k) (the divisor sum is
 dominated by its largest term) together with
 binomial(2k, k) <= 4^k / sqrt(pi*k).
+
+xi() is the production route: C, rho and the CLI read it.  Walkup's
+formula k*T(k) = sum_{d | k} binomial(2d-1, d) * phi(k/d), with
+binomial(2d-1, d) = binomial(2d, d)/2, puts k = d*m in every term:
+
+    xi = sum_k sum_{d*m = k} binomial(2d, d) phi(m) / (2 d^2 m^2 4^(dm))
+       = (1/2) sum_{m >= 1} phi(m)/m^2 * I_m,
+    I_m = sum_{d >= 1} binomial(2d, d) / (d^2 * 4^(dm)),
+
+and the order of summation is free because every term is positive.
+
+    m = 1:  I_1 = pi^2/6 - 2 ln^2 2.  With f(x) = sum_d binomial(2d, d)
+            x^d / d = 2 ln(2 / (1 + sqrt(1 - 4x))) (integrate
+            sum_d binomial(2d, d) x^(d-1) = (1/sqrt(1-4x) - 1)/x),
+            I_1 = int_0^(1/4) f(t)/t dt.  Put t = (1 - s^2)/4 and split
+            s/(1 - s^2) = (1/(1-s) - 1/(1+s))/2:
+            I_1 = 2 int_0^1 ln(2/(1+s))/(1-s) ds
+                  - 2 int_0^1 ln(2/(1+s))/(1+s) ds
+                = 2 Li_2(1/2) - ln^2 2,
+            and Euler's Li_2(1/2) = pi^2/12 - ln^2 2 / 2.
+    pi:     Machin, pi = 16 atan(1/5) - 4 atan(1/239), each arctangent
+            an alternating series of decreasing terms
+            (-1)^k / ((2k+1) q^(2k+1)), so a partial sum is within its
+            first omitted term of the limit.
+    ln 2:   sum_{k >= 1} 1 / (k 2^k); the tail after K terms is at most
+            (1/(K+1)) sum_{k > K} 2^-k = 1 / ((K+1) 2^K).
+    m >= 2: the term ratio of I_m is
+            2(2d+1)/(d+1) * (d/(d+1))^2 * 4^-m < r = 4^(1-m) <= 1/4,
+            so the tail after the term a_D is at most a_D r / (1 - r).
+    m >= M: binomial(2d, d) <= 4^d gives I_m <= r/(1-r) <= (4/3) 4^(1-m),
+            and phi(m)/m^2 <= 1/m, so the terms from M on sum to at most
+            (1/M) (4/3) sum_{m >= M} 4^(1-m) = (16/9) 4^(1-M) / M.
+
+Every sum is exact in Fractions and every tail is added to the upper
+end, so [low, high] holds xi; each series stops once its tail is below
+2^-100.  C and rho apply exp to the ends of xi's float interval by
+Taylor's series: for 0 <= x <= 1 the terms from x^k/k! on sum to at
+most x^k/k! / (1 - x/(k+1)) <= 2 x^k/k!.  Both functions increase in
+xi.  Gamma(3/4) keeps the libm route of gamma_three_quarters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .numtheory import check_size
+from .numtheory import check_size, euler_phi
 from .trees import plane_tree_counts
 
 DEFAULT_TERMS = 10_000
@@ -37,6 +81,8 @@ DEFAULT_TERMS = 10_000
 # term is correctly rounded and math.fsum rounds their sum once, so the
 # float value is within 2^-52 * xi (about 8e-17) of the partial sum
 FLOAT_SLOP = 5e-15
+# every series behind xi() stops once its tail bound is below this
+_TAIL = Fraction(1, 2**100)
 
 
 @dataclass(frozen=True)
@@ -61,6 +107,22 @@ class BoundedReal:
     def from_interval(lo: float, hi: float, slack: float = 0.0) -> "BoundedReal":
         return BoundedReal((lo + hi) / 2, (hi - lo) / 2 + slack)
 
+    @staticmethod
+    def from_fractions(lo: Fraction, hi: Fraction) -> "BoundedReal":
+        """The nearest float to the midpoint of [lo, hi], with a bound
+        of a whole number of its ulps, at least the radius plus one ulp.
+
+        low and high are a float subtraction and addition, each rounded
+        to nearest.  value -/+ error_bound is a multiple of ulp(value)
+        and, for error_bound < value, moves by at most one ulp when
+        rounded, which the extra ulp absorbs; so the bound is at least
+        2 ulps, even where [lo, hi] is far narrower than one.
+        """
+        value = float((lo + hi) / 2)
+        ulp = math.ulp(value)
+        radius = max(hi - Fraction(value), Fraction(value) - lo)
+        return BoundedReal(value, (math.floor(radius / Fraction(ulp)) + 2) * ulp)
+
 
 def series_tail_bound(terms: int) -> float:
     """Rigorous bound on the tree series tail after the given many terms."""
@@ -68,8 +130,8 @@ def series_tail_bound(terms: int) -> float:
     return 2.0 / (3.0 * math.sqrt(math.pi)) * terms**-1.5
 
 
-# the one xi of a process: C, rho and the CLI all read tree_series();
-# typed, so that True is not served the cached entry for 1
+# the definition, kept as the oracle for xi(); typed, so that True is not
+# served the cached entry for 1
 @lru_cache(maxsize=8, typed=True)
 def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """Partial sum of sum_k T(k) / (k * 4^k) with a rigorous bound.
@@ -83,6 +145,85 @@ def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     trees = plane_tree_counts(terms)
     value = math.fsum(trees[k] / (k << (2 * k)) for k in range(1, terms + 1))
     return BoundedReal(value, series_tail_bound(terms) + FLOAT_SLOP)
+
+
+def _ln2() -> tuple[Fraction, Fraction]:
+    """ln 2 = sum_{k >= 1} 1/(k 2^k), bracketed."""
+    total, k = Fraction(0), 0
+    while True:
+        k += 1
+        total += Fraction(1, k << k)
+        tail = Fraction(1, (k + 1) << k)
+        if tail < _TAIL:
+            return total, total + tail
+
+
+def _atan_inverse(q: int) -> tuple[Fraction, Fraction]:
+    """atan(1/q) bracketed by an alternating partial sum and its first
+    omitted term."""
+    total, k = Fraction(0), 0
+    while True:
+        term = Fraction(1, (2 * k + 1) * q ** (2 * k + 1))
+        if term < _TAIL:
+            return total - term, total + term
+        total += -term if k & 1 else term
+        k += 1
+
+
+def _inner_sum_m1() -> tuple[Fraction, Fraction]:
+    """I_1 = pi^2/6 - 2 ln^2 2, bracketed; pi by Machin's formula."""
+    a5, a239 = _atan_inverse(5), _atan_inverse(239)
+    pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+    ln2_lo, ln2_hi = _ln2()
+    return pi_lo**2 / 6 - 2 * ln2_hi**2, pi_hi**2 / 6 - 2 * ln2_lo**2
+
+
+def _xi_interval() -> tuple[Fraction, Fraction]:
+    """xi bracketed by the rearranged divisor series (module docstring)."""
+    lo, hi = _inner_sum_m1()
+    m = 2
+    while True:
+        # the terms from m on sum to at most (16/9) 4^(1-m) / m
+        outer = Fraction(16, 9 * m << 2 * (m - 1))
+        if outer < _TAIL:
+            return lo / 2, (hi + outer) / 2
+        weight = Fraction(euler_phi(m), m * m)
+        r = Fraction(1, 1 << 2 * (m - 1))
+        d, central = 1, 2
+        while True:
+            term = weight * Fraction(central, d * d << 2 * d * m)
+            lo += term
+            hi += term
+            tail = term * r / (1 - r)
+            if tail < _TAIL:
+                break
+            d += 1
+            central = central * 2 * (2 * d - 1) // d
+        hi += tail
+        m += 1
+
+
+# the one evaluation of xi in a process: C, rho and the CLI read it
+@lru_cache(maxsize=1)
+def xi() -> BoundedReal:
+    """xi from the rearranged divisor series, rigorous by its arithmetic.
+
+    Exact Fractions with a rational bound on every tail (see the module
+    docstring), converted outward by BoundedReal.from_fractions; no tree
+    table is built.
+    """
+    return BoundedReal.from_fractions(*_xi_interval())
+
+
+def _exp(x: float) -> tuple[Fraction, Fraction]:
+    """exp(x) for 0 <= x <= 1 bracketed by Taylor's series."""
+    x = Fraction(x)
+    total, term, k = Fraction(0), Fraction(1), 0
+    while term >= _TAIL:
+        total += term
+        k += 1
+        term = term * x / k
+    return total, total + 2 * term
 
 
 def gamma_three_quarters() -> BoundedReal:
@@ -107,18 +248,15 @@ def gamma_prefactor() -> BoundedReal:
 
 def count_growth_constant() -> BoundedReal:
     """C: the constant in the 4^n / n^(3/4) growth of the number of
-    graphical sequences; equals gamma_prefactor * exp(tree series)."""
-    xi = tree_series()
-    pref = gamma_prefactor()
-    lo = pref.low * math.exp(xi.low)
-    hi = pref.high * math.exp(xi.high)
-    return BoundedReal.from_interval(lo, hi, slack=4e-17)
+    graphical sequences; equals gamma_prefactor * exp(xi)."""
+    x, pref = xi(), gamma_prefactor()
+    lo, hi = _exp(x.low)[0], _exp(x.high)[1]
+    return BoundedReal.from_fractions(Fraction(pref.low) * lo, Fraction(pref.high) * hi)
 
 
 def exact_zero_area_prob() -> BoundedReal:
     """rho: probability that the stopped lazy walk has area exactly
-    zero; equals 1 - exp(-2 * tree series), increasing in the series."""
-    xi = tree_series()
-    lo = -math.expm1(-2.0 * xi.low)
-    hi = -math.expm1(-2.0 * xi.high)
-    return BoundedReal.from_interval(lo, hi, slack=4e-17)
+    zero; equals 1 - exp(-2 xi), increasing in xi."""
+    x = xi()
+    lo, hi = _exp(x.low)[0], _exp(x.high)[1]
+    return BoundedReal.from_fractions(1 - 1 / lo**2, 1 - 1 / hi**2)

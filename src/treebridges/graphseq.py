@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations
 
-import numpy as np
-
 from .numtheory import check_size
+
+# numpy is imported inside the functions that use it, so that importing
+# the package does not load it
 
 # all 2^binomial(n,2) graphs are materialized; 6 is where that stops
 ORACLE_CAP = 6
@@ -133,6 +134,8 @@ def _push(stacks, x: int, size: int):
     top gives m' = max(0, m - x) and p' = p + x; rows m' >= size are
     dropped.
     """
+    import numpy as np
+
     if x & 1:
         stacks = stacks[:, ::-1]
     out = np.zeros((size, 2), dtype=object)
@@ -148,6 +151,8 @@ def _push(stacks, x: int, size: int):
 
 def _fit(stacks, size: int):
     """stacks cut or zero-padded to size rows."""
+    import numpy as np
+
     if len(stacks) >= size:
         return stacks[:size]
     out = np.zeros((size, 2), dtype=object)
@@ -173,6 +178,8 @@ def graphical_sequence_counts(n_max: int) -> tuple:
     partial sums, and the arms up to a take at most (a+1)(a+2)/2 from
     them, so no row m past the smaller bound is kept.
     """
+    import numpy as np
+
     check_size("n_max", n_max, 0, COUNT_CAP)
     empty = np.array([[1, 0]], dtype=object)
     below = [empty] * n_max

@@ -22,10 +22,11 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bridges import bridge_layers
 from .numtheory import check_int, check_size
+
+# numpy is imported inside the functions that use it, so that importing
+# the package does not load it
 
 # the first draw at n builds and keeps every forward layer of the bridge
 # DP: measured 1.4 s and 100 MB of resident memory at n = 100 (0.03 s and
@@ -34,7 +35,7 @@ SAMPLING_CAP = 100
 # elements per simulation block; keeps peak numpy memory modest
 _BLOCK_BUDGET = 4_000_000
 # the increment of each of the four equally likely draws
-_STEPS = np.array([1, -1, 0, 0], dtype=np.int64)
+_STEPS = (1, -1, 0, 0)
 
 
 class WalkOutcome(enum.Enum):
@@ -93,6 +94,9 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     four values: one maps to +1, one to -1, two to 0), consumed in
     blocks whose width adapts so alive * width stays within budget.
     """
+    import numpy as np
+
+    steps = np.array(_STEPS, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     y = np.zeros(samples, dtype=np.int64)
     area = np.zeros(samples, dtype=np.int64)
@@ -101,7 +105,7 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     while y.size and done < horizon:
         width = min(max(16, _BLOCK_BUDGET // y.size), horizon - done)
         u = rng.integers(0, 4, size=(y.size, width), dtype=np.int8)
-        ypath = _STEPS[u]
+        ypath = steps[u]
         ypath[:, 0] += y
         np.cumsum(ypath, axis=1, out=ypath)
         apath = np.cumsum(ypath, axis=1)
@@ -132,6 +136,8 @@ def estimate_zero_area_prob(
     spawned from (seed, w).  The shares run sequentially; the workers
     knob exists for reproducible stream splitting.
     """
+    import numpy as np
+
     check_size("samples", samples, 1)
     check_size("horizon", horizon, 1)
     # numpy's SeedSequence rejects negative entropy

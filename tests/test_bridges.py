@@ -236,6 +236,19 @@ def test_empty_bridge_is_graphical_but_not_irreducible():
     assert not bridges.is_irreducible_bridge(())
 
 
+def test_irreducible_scan_matches_the_decomposition():
+    # the one-scan test against its definition on every bridge, the
+    # non-graphical ones included
+    for n in range(9):
+        for b in bridges.enumerate_bridges(n):
+            want = bridges.is_graphical_bridge(b) and len(
+                bridges.irreducible_decomposition(b)
+            ) == 1
+            assert bridges.is_irreducible_bridge(b) == want, b
+    with pytest.raises(ValueError):
+        bridges.is_irreducible_bridge((1, 1))
+
+
 def test_count_bridges_area_divisible_matches_bruteforce():
     for n in range(1, 9):
         assert (

@@ -187,17 +187,39 @@ def test_constants_json_contract(capsys):
     assert set(payload) == {"xi", "C", "rho", "gamma34", "bounds"}
     assert set(payload["bounds"]) == {"xi", "C", "rho", "gamma34"}
     assert payload["C"] == pytest.approx(0.099094, abs=1e-6)
-    assert payload["rho"] == pytest.approx(0.515802, abs=1e-6)
+    # rho = 0.5158026..., so six digits round it up
+    assert payload["rho"] == pytest.approx(0.515803, abs=1e-6)
     assert payload["xi"] == pytest.approx(0.362631, abs=1e-6)
     assert payload["gamma34"] == pytest.approx(1.225417, abs=1e-6)
     assert all(b > 0 for b in payload["bounds"].values())
 
 
-def test_constants_sums_the_tree_series_once(capsys):
-    # xi, C and rho all read the one default tree_series entry
-    constants.tree_series.cache_clear()
+def test_constants_read_one_xi_and_no_tree_table(capsys, monkeypatch):
+    # xi, C and rho all read one cached evaluation of the rearranged
+    # series; the tree sieve is the oracle and must not run here
+    def refuse(n_max):
+        raise AssertionError(f"plane_tree_counts({n_max}) called")
+
+    monkeypatch.setattr(trees, "plane_tree_counts", refuse)
+    monkeypatch.setattr(constants, "plane_tree_counts", refuse)
+    constants.xi.cache_clear()
     assert run_cli(capsys, "constants", "--digits", "12")[0] == 0
-    assert constants.tree_series.cache_info().misses == 1
+    info = constants.xi.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("digits", [1, 6, 12])
+def test_constants_bounds_cover_the_printed_digits(capsys, digits):
+    # the limits to 20 digits, as in test_constants.py
+    limits = {
+        "xi": 0.36263134141951955540,
+        "C": 0.099094083237488745361,
+        "rho": 0.51580263808914185850,
+        "gamma34": 1.2254167024651776451,
+    }
+    payload = json.loads(run_cli(capsys, "constants", "--digits", str(digits))[1])
+    for key, limit in limits.items():
+        assert abs(payload[key] - limit) <= payload["bounds"][key], key
 
 
 def test_constants_digit_bounds(capsys):
@@ -241,3 +263,16 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["n,value", "1,1", "2,2", "3,4"]
+
+
+def test_the_cli_and_constants_do_not_load_numpy():
+    script = (
+        "import sys, treebridges.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "assert cli.main(['constants', '--digits', '12']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'constants'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from scipy import integrate
 
 from treebridges import constants, trees
+from treebridges.numtheory import euler_phi
 
 # the limits to 20 digits, independently of the float evaluation path
 # under test: xi = (pi^2/6 - 2 ln^2 2)/2 + (1/2) sum_{m>=2} phi(m)/m^2
@@ -75,6 +77,68 @@ def test_tree_series_nested_intervals():
     assert constants.tree_series(2000).value < constants.tree_series(50_000).value
 
 
+def test_rearranged_series_equals_the_tree_series_exactly():
+    # Walkup's divisor sum with k = d m: every partial sum of the tree
+    # series equals the rearranged double sum over d m <= K
+    table = trees.plane_tree_counts(60)
+    lhs = rhs = Fraction(0)
+    for k in range(1, 61):
+        lhs += Fraction(table[k], k * 4**k)
+        rhs += sum(
+            Fraction(euler_phi(k // d) * math.comb(2 * d, d), 2 * k * k * 4**k)
+            for d in range(1, k + 1)
+            if k % d == 0
+        )
+        assert lhs == rhs, k
+
+
+def test_closed_form_m1_brackets_its_partial_sum():
+    # pi^2/6 - 2 ln^2 2 against sum_{d <= N} binomial(2d, d) / (d^2 4^d);
+    # binomial(2d, d) <= 4^d / sqrt(pi d) bounds the tail after N by
+    # (2 / (3 sqrt(pi))) N^(-3/2)
+    lo, hi = constants._inner_sum_m1()
+    assert 0 < hi - lo < Fraction(1, 2**95)
+    n = 200
+    partial = sum(Fraction(math.comb(2 * d, d), d * d * 4**d) for d in range(1, n + 1))
+    tail = 2 / (3 * math.sqrt(math.pi)) * n**-1.5
+    assert partial < lo and hi < partial + Fraction(tail)
+    assert float(lo) == pytest.approx(math.pi**2 / 6 - 2 * math.log(2) ** 2, abs=1e-15)
+
+
+def test_xi_inside_the_tree_series_and_at_the_references():
+    x = constants.xi()
+    coarse = constants.tree_series(50_000)
+    assert coarse.low <= x.low and x.high <= coarse.high
+    # the rational interval is far narrower than a float, so the bound
+    # is its floor of 2 ulps
+    lo, hi = constants._xi_interval()
+    assert hi - lo < Fraction(1, 2**95)
+    assert x.error_bound == 2 * math.ulp(x.value)
+    for got, ref in (
+        (x, XI_REF),
+        (constants.count_growth_constant(), C_REF),
+        (constants.exact_zero_area_prob(), RHO_REF),
+    ):
+        assert abs(got.value - ref) <= got.error_bound + REF_SLOP
+        assert got.error_bound < 1e-15
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**10)),
+        (Fraction(1, 2) - Fraction(1, 2**80), Fraction(1, 2)),
+        (1 - Fraction(1, 2**60), 1 - Fraction(1, 2**61)),
+    ],
+)
+def test_from_fractions_rounds_outward(lo, hi):
+    b = constants.BoundedReal.from_fractions(lo, hi)
+    assert Fraction(b.low) <= lo and hi <= Fraction(b.high)
+    assert b.error_bound >= 2 * math.ulp(b.value)
+    assert b.error_bound <= float(hi - lo) / 2 + 3 * math.ulp(b.value)
+
+
 def test_gamma_three_quarters_against_quadrature():
     # defining integral, split so the integrand stays bounded: on [0,1]
     # substitute t = u^4, beyond 1 integrate directly
@@ -103,15 +167,15 @@ def test_gamma_prefactor():
 def test_count_growth_constant_brackets_reference():
     c = constants.count_growth_constant()
     assert abs(c.value - C_REF) <= c.error_bound + REF_SLOP
-    # C's formula recomputed from 50,000 terms must stay inside the
-    # coarser interval, and be tighter
+    # C's formula recomputed from the 50,000-term tree series gives a
+    # coarser interval, which must hold C's
     pref = constants.gamma_prefactor()
     xi = constants.tree_series(50_000)
-    finer = constants.BoundedReal.from_interval(
+    coarser = constants.BoundedReal.from_interval(
         pref.low * math.exp(xi.low), pref.high * math.exp(xi.high)
     )
-    assert c.low - REF_SLOP <= finer.value <= c.high + REF_SLOP
-    assert finer.error_bound < c.error_bound
+    assert coarser.low - REF_SLOP <= c.low and c.high <= coarser.high + REF_SLOP
+    assert c.error_bound < coarser.error_bound
 
 
 def test_exact_zero_area_prob_brackets_reference():
