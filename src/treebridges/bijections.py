@@ -28,6 +28,7 @@ from .bridges import (
     irreducible_decomposition,
     is_graphical_bridge,
 )
+from .numtheory import check_size
 from .trees import RIGHT, UP
 
 
@@ -43,8 +44,9 @@ def first_irreducible_length(bridge: Walk) -> int:
 class ShiftedPair:
     """A graphical bridge plus a legal shift offset.
 
-    The offset must satisfy 0 <= shift < j where 2j is the length of the
-    bridge's first irreducible part; validation happens on construction.
+    The offset must be an int with 0 <= shift < j, where 2j is the length
+    of the bridge's first irreducible part; validation happens on
+    construction.
     """
 
     bridge: Walk
@@ -54,10 +56,7 @@ class ShiftedPair:
         if not is_graphical_bridge(self.bridge):
             raise ValueError("ShiftedPair needs a graphical bridge")
         j = first_irreducible_length(self.bridge) // 2
-        if not 0 <= self.shift < j:
-            raise ValueError(
-                f"shift must lie in [0, {j}), got {self.shift}"
-            )
+        check_size("shift", self.shift, 0, j - 1)
 
 
 def enumerate_shifted_pairs(n: int):

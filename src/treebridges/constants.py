@@ -23,7 +23,11 @@ bounded by
 
 which follows from k*T(k) <= 2*binomial(2k-1, k) (the divisor sum is
 dominated by its largest term) together with
-binomial(2k, k) <= 4^k / sqrt(pi*k).
+binomial(2k, k) <= 4^k / sqrt(pi*k).  The float partial sum is within
+one ulp: each integer term floor(T(k) 2^128 / (k 4^k)) is short by less
+than 2^-128, at most 2^-112 over the 50,000 terms the tree table allows,
+and the one division by 2^128 rounds within half an ulp, which is at
+least 2^-55 as the value is at least T(1)/4.
 
 xi() is the production route: C, rho and the CLI read it.  Walkup's
 formula k*T(k) = sum_{d | k} binomial(2d-1, d) * phi(k/d), with
@@ -73,14 +77,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numtheory import check_size, euler_phi
-from .trees import plane_tree_counts
+from .trees import TREE_TABLE_CAP, plane_tree_counts
 
 DEFAULT_TERMS = 10_000
 
-# cover for the floating-point rounding of the series: each int / int
-# term is correctly rounded and math.fsum rounds their sum once, so the
-# float value is within 2^-52 * xi (about 8e-17) of the partial sum
-FLOAT_SLOP = 5e-15
 # every series behind xi() stops once its tail bound is below this
 _TAIL = Fraction(1, 2**100)
 
@@ -136,15 +136,17 @@ def series_tail_bound(terms: int) -> float:
 def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """Partial sum of sum_k T(k) / (k * 4^k) with a rigorous bound.
 
-    Every term is converted on its own (int by int division is correctly
-    rounded) and the terms are added by one math.fsum.  The error bound
-    is the series tail plus FLOAT_SLOP.  terms is capped at
+    Sums the exact floors of T(k) 2^128 / (k 4^k), each short by less
+    than 2^-128, and divides by 2^128 once, rounding once: the value is
+    within one ulp of the partial sum (module docstring), and the error
+    bound is the series tail plus that ulp.  terms is capped at
     trees.TREE_TABLE_CAP.
     """
-    check_size("terms", terms, 1)
+    check_size("terms", terms, 1, TREE_TABLE_CAP)
     trees = plane_tree_counts(terms)
-    value = math.fsum(trees[k] / (k << (2 * k)) for k in range(1, terms + 1))
-    return BoundedReal(value, series_tail_bound(terms) + FLOAT_SLOP)
+    total = sum((trees[k] << 128 >> 2 * k) // k for k in range(1, terms + 1))
+    value = total / (1 << 128)
+    return BoundedReal(value, series_tail_bound(terms) + math.ulp(value))
 
 
 def _ln2() -> tuple[Fraction, Fraction]:

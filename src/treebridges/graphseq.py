@@ -33,7 +33,8 @@ from .numtheory import check_size
 # numpy is imported inside the functions that use it, so that importing
 # the package does not load it
 
-# all 2^binomial(n,2) graphs are materialized; 6 is where that stops
+# the labelled degree vectors number up to n^n: 0.03 s / 16 MB at n = 6
+# and 0.5 s / 48 MB peak resident memory at 7 (2-core x86-64, Python 3.11)
 ORACLE_CAP = 6
 # the Frobenius sweep behind count_graphical_sequences and the G table:
 # the whole CLI table takes 0.9 s / 41 MB at n = 100 and 7-10 s /
@@ -77,23 +78,15 @@ def is_graphical_sequence(seq) -> bool:
 
 def all_graph_degree_sequences(n: int) -> set:
     """Degree sequences (sorted non-decreasing) of all graphs on n
-    labelled vertices; the brute-force oracle, capped at n = 6."""
+    labelled vertices, whose degree vectors are built one edge at a
+    time; the brute-force oracle, capped at n = 6."""
     check_size("n", n, 0, ORACLE_CAP)
-    pairs = list(combinations(range(n), 2))
-    seen = set()
-    for mask in range(1 << len(pairs)):
-        deg = [0] * n
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                a, b = pairs[idx]
-                deg[a] += 1
-                deg[b] += 1
-            m >>= 1
-            idx += 1
-        seen.add(tuple(sorted(deg)))
-    return seen
+    degs = {(0,) * n}
+    for a, b in combinations(range(n), 2):
+        degs |= {
+            d[:a] + (d[a] + 1,) + d[a + 1 : b] + (d[b] + 1,) + d[b + 1 :] for d in degs
+        }
+    return {tuple(sorted(d)) for d in degs}
 
 
 def _count_by_enumeration(n: int) -> int:

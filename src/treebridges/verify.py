@@ -93,22 +93,21 @@ def check_path_map_roundtrip(n_max: int = 6) -> Check:
 
 
 def check_shift_map_bijection(n_max: int = 6) -> Check:
-    name = "shift map is a bijection onto balanced divisible-area walks"
-    for n in range(1, n_max + 1):
+    def fails(n: int) -> bool:
         images = set()
-        total = 0
         for pair in bijections.enumerate_shifted_pairs(n):
             w = bijections.shift_bridge(pair)
-            if w in images:
-                return name, False, f"collision at n = {n}"
+            if w in images or bijections.unshift_bridge(w) != pair:
+                return True
             images.add(w)
-            if bijections.unshift_bridge(w) != pair:
-                return name, False, f"inverse mismatch at n = {n}"
-            total += 1
-        target = bridges.count_bridges_area_divisible(n)
-        if total != target:
-            return name, False, f"n = {n}: {total} pairs vs {target} walks"
-    return name, True, f"checked n <= {n_max} with explicit inverses"
+        return len(images) != bridges.count_bridges_area_divisible(n)
+
+    return _each_n(
+        "shift map is a bijection onto balanced divisible-area walks",
+        n_max,
+        fails,
+        also=" with explicit inverses",
+    )
 
 
 def check_path_count_identity(n_max: int = 30) -> Check:

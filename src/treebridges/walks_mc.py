@@ -133,8 +133,9 @@ def estimate_zero_area_prob(
     samples are split into max(workers, ceil(16 samples / _BLOCK_BUDGET))
     near-equal shares, at most 250,000 walks each so that a first block
     of 16 steps fits the budget, and share w runs on the substream
-    spawned from (seed, w).  The shares run sequentially; the workers
-    knob exists for reproducible stream splitting.
+    spawned from (seed, w).  Past samples shares the rest are empty and
+    are not made.  The shares run sequentially; the workers knob exists
+    for reproducible stream splitting.
     """
     import numpy as np
 
@@ -144,12 +145,10 @@ def estimate_zero_area_prob(
     check_size("seed", seed, 0)
     check_size("workers", workers, 1)
     zero = negative = capped = 0
-    shares = max(workers, math.ceil(samples * 16 / _BLOCK_BUDGET))
+    shares = min(samples, max(workers, math.ceil(samples * 16 / _BLOCK_BUDGET)))
     base, extra = divmod(samples, shares)
     for w in range(shares):
         share = base + (1 if w < extra else 0)
-        if share == 0:
-            continue
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
         z, ng, cp = _run_worker(share, horizon, ss)
         zero += z

@@ -257,6 +257,12 @@ def test_count_bridges_area_divisible_matches_bruteforce():
         )
 
 
+@pytest.mark.parametrize("n", [64, 101])
+def test_count_bridges_area_divisible_doubles_tree_count(n):
+    # N'(n) = 2 T(n), past the sizes verify and the brute force reach
+    assert bridges.count_bridges_area_divisible(n) == 2 * trees.plane_tree_counts(n)[n]
+
+
 def test_count_bridges_area_divisible_cap():
     with pytest.raises(ValueError):
         bridges.count_bridges_area_divisible(bridges.RESIDUE_DP_CAP + 1)

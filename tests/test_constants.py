@@ -66,6 +66,16 @@ def test_tree_series_brackets_reference():
     assert xi.error_bound < 1e-6
 
 
+def test_tree_series_within_one_ulp_of_the_exact_partial_sum():
+    table = trees.plane_tree_counts(60)
+    partial = Fraction(0)
+    for terms in range(1, 61):
+        partial += Fraction(table[terms], terms * 4**terms)
+        xi = constants.tree_series(terms)
+        assert Fraction(xi.low) <= partial <= Fraction(xi.high), terms
+        assert xi.error_bound == constants.series_tail_bound(terms) + math.ulp(xi.value)
+
+
 def test_tree_series_nested_intervals():
     prev_bound = math.inf
     for terms in (2000, 10_000, 50_000):

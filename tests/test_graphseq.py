@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from treebridges import graphseq
@@ -48,9 +50,12 @@ def test_all_graph_degree_sequences_n3():
 
 
 def test_all_graph_degree_sequences_members_are_graphical():
-    for n in range(1, 6):
-        for seq in graphseq.all_graph_degree_sequences(n):
-            assert graphseq.is_graphical_sequence(seq)
+    # and, conversely, every graphical sequence is some graph's
+    for n in range(graphseq.ORACLE_CAP + 1):
+        assert graphseq.all_graph_degree_sequences(n) == {
+            s for s in combinations_with_replacement(range(n), n)
+            if graphseq.is_graphical_sequence(s)
+        }
 
 
 def test_oracle_cap():

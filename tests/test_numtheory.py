@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bridges, constants, graphseq, trees, verify, walks_mc
+from treebridges import bijections, bridges, constants, graphseq, trees, verify, walks_mc
 from treebridges.numtheory import TRIAL_DIVISION_CAP, divisors, euler_phi
 
 
@@ -92,7 +92,9 @@ BOUNDARY = {
     "euler_phi": (lambda v: euler_phi(n=v), "n", 1, TRIAL_DIVISION_CAP),
     "divisors": (divisors, "n", 1, TRIAL_DIVISION_CAP),
     "series_tail_bound": (constants.series_tail_bound, "terms", 1, None),
-    "tree_series": (lambda v: constants.tree_series(terms=v), "terms", 1, None),
+    "tree_series": (
+        lambda v: constants.tree_series(terms=v), "terms", 1, trees.TREE_TABLE_CAP,
+    ),
     "stop_time_outcome": (lambda v: walks_mc.stop_time_outcome([0], v), "horizon", 1, None),
     "estimate-samples": (lambda v: walks_mc.estimate_zero_area_prob(v, 1, 0), "samples", 1, None),
     "estimate-horizon": (lambda v: walks_mc.estimate_zero_area_prob(1, v, 0), "horizon", 1, None),
@@ -101,6 +103,10 @@ BOUNDARY = {
         lambda v: walks_mc.estimate_zero_area_prob(1, 1, 0, workers=v), "workers", 1, None,
     ),
     "run_suite": (lambda v: verify.run_suite("oracles", v), "n_max", 1, None),
+    # j = 4: the bridge is its own first irreducible part
+    "ShiftedPair-shift": (
+        lambda v: bijections.ShiftedPair((1, 1, -1, -1, -1, -1, 1, 1), v), "shift", 0, 3,
+    ),
 }
 
 

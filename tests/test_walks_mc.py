@@ -90,6 +90,13 @@ def test_estimate_deterministic_and_worker_stable():
     assert 0.0 <= c.capped_fraction <= 1.0
 
 
+def test_estimate_workers_past_samples_makes_one_share_per_walk():
+    # a share per walk, each on its own substream (seed, w), however many
+    # workers are asked for; the loop must not visit the empty shares
+    want = walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10)
+    assert walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10**12) == want
+
+
 def test_estimate_single_sample():
     est = walks_mc.estimate_zero_area_prob(1, 10, seed=0)
     assert est.estimate in (0.0, 1.0) or (
