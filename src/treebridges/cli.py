@@ -175,7 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--horizon", type=int, default=1_000_000)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--workers", type=int, default=1)
+    p_mc.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="substreams to split the walks into; they run on at most "
+        "min(workers, substreams, CPU count) forked processes of about 100 MiB each",
+    )
     p_mc.set_defaults(func=cmd_rho_mc)
 
     return parser

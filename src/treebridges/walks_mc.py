@@ -9,7 +9,10 @@ Runs that never stop within the horizon are reported as capped, never
 silently dropped: nothing here guarantees the stop comes in finite
 time, and at horizon 10^6 roughly 1.8 percent of runs are still going,
 which is why estimates carry the capped fraction alongside the
-standard error.
+standard error.  The walks are split into shares, each on its own
+substream, and the shares run concurrently on at most
+min(workers, shares, CPU count) forked processes, each holding its own
+simulation block of about 100 MiB.
 
 The sampler draws backward from the forward layers of
 bridges.bridge_layers, the same kernel graphical_bridge_counts reads.
@@ -18,7 +21,9 @@ bridges.bridge_layers, the same kernel graphical_bridge_counts reads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -124,36 +129,69 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     return zero, negative, y.size
 
 
+def _run_shares(samples: int, shares: int, horizon: int, seed: int, ws: range):
+    """Sum _run_worker's (zero, negative, capped) over the shares ws of
+    samples split into shares near-equal parts; share w runs on the
+    substream spawned from (seed, w)."""
+    import numpy as np
+
+    base, extra = divmod(samples, shares)
+    zero = negative = capped = 0
+    for w in ws:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
+        z, ng, cp = _run_worker(base + (1 if w < extra else 0), horizon, ss)
+        zero += z
+        negative += ng
+        capped += cp
+    return zero, negative, capped
+
+
 def estimate_zero_area_prob(
     samples: int, horizon: int, seed: int, workers: int = 1
 ) -> McEstimate:
     """Estimate the zero-area stopping probability.
 
     Deterministic for fixed (samples, horizon, seed, workers): the
-    samples are split into max(workers, ceil(16 samples / _BLOCK_BUDGET))
-    near-equal shares, at most 250,000 walks each so that a first block
-    of 16 steps fits the budget, and share w runs on the substream
-    spawned from (seed, w).  Past samples shares the rest are empty and
-    are not made.  The shares run sequentially; the workers knob exists
-    for reproducible stream splitting.
+    samples are split into min(samples, max(workers, ceil(16 samples /
+    _BLOCK_BUDGET))) near-equal shares, at most 250,000 walks each so
+    that a first block of 16 steps fits the budget, and share w runs on
+    the substream spawned from (seed, w).  The shares run concurrently
+    on procs = min(workers, shares, os.cpu_count()) processes forked
+    from this one, each holding its own block of about 100 MiB; the
+    counts are integer sums, so they do not depend on procs.  With one
+    process, or where the fork start method does not exist, the shares
+    run in this process.  A failing worker raises here.  Python 3.12+
+    may warn that forking a process with threads can deadlock: numpy's
+    idle OpenBLAS threads exist, but the children call no BLAS.
     """
-    import numpy as np
-
     check_size("samples", samples, 1)
     check_size("horizon", horizon, 1)
     # numpy's SeedSequence rejects negative entropy
     check_size("seed", seed, 0)
     check_size("workers", workers, 1)
-    zero = negative = capped = 0
     shares = min(samples, max(workers, math.ceil(samples * 16 / _BLOCK_BUDGET)))
-    base, extra = divmod(samples, shares)
-    for w in range(shares):
-        share = base + (1 if w < extra else 0)
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
-        z, ng, cp = _run_worker(share, horizon, ss)
-        zero += z
-        negative += ng
-        capped += cp
+    procs = min(workers, shares, os.cpu_count() or 1)
+    if procs > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            procs = 1
+    run = functools.partial(_run_shares, samples, shares, horizon, seed)
+    if procs == 1:
+        counts = [run(range(shares))]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # loaded before the fork, so the children do not each load it
+        import numpy  # noqa: F401
+
+        # process p runs every procs-th share from p, so each process gets
+        # a near-equal number of near-equal shares
+        parts = [range(p, shares, procs) for p in range(procs)]
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(procs, mp_context=ctx) as pool:
+            counts = list(pool.map(run, parts))
+    zero, negative, capped = map(sum, zip(*counts))
     stopped = zero + negative
     if stopped:
         p = zero / stopped

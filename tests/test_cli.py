@@ -266,9 +266,12 @@ def test_module_entry_point_subprocess():
 
 
 def test_the_cli_and_constants_do_not_load_numpy():
+    # importing the CLI loads neither numpy nor the process pool of rho-mc
     script = (
         "import sys, treebridges.cli as cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
+        "assert 'multiprocessing' not in sys.modules, 'import'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'import'\n"
         "assert cli.main(['constants', '--digits', '12']) == 0\n"
         "assert 'numpy' not in sys.modules, 'constants'\n"
     )

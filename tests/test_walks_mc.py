@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -95,6 +98,49 @@ def test_estimate_workers_past_samples_makes_one_share_per_walk():
     # workers are asked for; the loop must not visit the empty shares
     want = walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10)
     assert walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10**12) == want
+
+
+def test_pooled_shares_give_the_in_process_counts(monkeypatch):
+    # two shares of 10,000 walks on substreams (1, 0) and (1, 1): forked
+    # processes where the host has two CPUs, this process where it has one
+    horizon = 200
+    zero = negative = capped = 0
+    for w in range(2):
+        ss = np.random.SeedSequence(entropy=1, spawn_key=(w,))
+        z, ng, cp = walks_mc._run_worker(10_000, horizon, ss)
+        zero, negative, capped = zero + z, negative + ng, capped + cp
+    stopped = zero + negative
+    p = zero / stopped
+    want = walks_mc.McEstimate(p, 20_000, math.sqrt(p * (1 - p) / stopped), capped / 20_000, 1)
+    assert walks_mc.estimate_zero_area_prob(20_000, horizon, seed=1, workers=2) == want
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert walks_mc.estimate_zero_area_prob(20_000, horizon, seed=1, workers=2) == want
+
+
+def test_pool_size_is_bounded_by_the_cpu_count(monkeypatch):
+    # the spy runs the map in this process, so no process is started
+    asked = []
+
+    class Spy:
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    got = walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10**12)
+    procs = min(10, os.cpu_count() or 1)
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    assert asked == ([procs] if procs > 1 and forks else [])
+    # one share per walk either way, so the counts are those of workers=10
+    assert got == walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10)
 
 
 def test_estimate_single_sample():
