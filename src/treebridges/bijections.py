@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from .bridges import (
     Walk,
     _check_bridge,
+    _renewal_times,
     diamond_area,
     enumerate_graphical_bridges,
-    irreducible_decomposition,
-    is_graphical_bridge,
 )
 from .numtheory import check_size
 from .trees import RIGHT, UP
@@ -34,10 +33,11 @@ from .trees import RIGHT, UP
 
 def first_irreducible_length(bridge: Walk) -> int:
     """Length (an even integer) of the first irreducible part."""
-    parts = irreducible_decomposition(bridge)  # rejects non-graphical
-    if not parts:
-        raise ValueError("the empty bridge has no irreducible part")
-    return len(parts[0])
+    _check_bridge(bridge)
+    cuts = _renewal_times(bridge)  # [] for the empty bridge
+    if not cuts:
+        raise ValueError("first_irreducible_length needs a nonempty graphical bridge")
+    return cuts[0]
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,7 @@ class ShiftedPair:
     shift: int
 
     def __post_init__(self):
-        if not is_graphical_bridge(self.bridge):
-            raise ValueError("ShiftedPair needs a graphical bridge")
-        j = first_irreducible_length(self.bridge) // 2
+        j = first_irreducible_length(self.bridge) // 2  # rejects non-graphical
         check_size("shift", self.shift, 0, j - 1)
 
 
@@ -105,7 +103,8 @@ def unshift_bridge(bridge: Walk) -> ShiftedPair:
     for i in range(n):
         # candidate whose shift by 2i reproduces the input
         cand = bridge[-2 * i :] + bridge[: -2 * i] if i else bridge
-        if is_graphical_bridge(cand) and i < first_irreducible_length(cand) // 2:
+        cuts = _renewal_times(cand)
+        if cuts is not None and 2 * i < cuts[0]:
             found.append(ShiftedPair(cand, i))
     if len(found) != 1:
         raise RuntimeError(

@@ -14,7 +14,10 @@ is non-negative.  A graphical bridge is irreducible when no proper
 nonempty even prefix is itself a graphical bridge; splitting at every
 prefix that completes a graphical bridge (a renewal time: position 0 and
 accumulated area 0) decomposes a graphical bridge uniquely into
-irreducible parts.
+irreducible parts.  One scan over the even prefixes, _renewal_times,
+gives graphicality, the renewal times and irreducibility, behind one
+check that rejects odd lengths, increments other than +-1 and, for a
+bridge, a nonzero sum.
 
 Graphical bridges are counted by one forward DP over (height, area)
 after each pair of increments, bridge_layers.  It is pruned to states
@@ -49,6 +52,8 @@ BRIDGE_DP_CAP = 200
 def _check_even_length(walk: Walk) -> None:
     if len(walk) % 2:
         raise ValueError(f"walk length must be even, got {len(walk)}")
+    if walk.count(1) + walk.count(-1) != len(walk):
+        raise ValueError("walk increments must be +1 or -1")
 
 
 def _check_bridge(walk: Walk) -> None:
@@ -96,17 +101,27 @@ def even_prefix_areas(walk: Walk) -> list[int]:
     return out
 
 
-def is_graphical_bridge(bridge: Walk) -> bool:
-    """True iff sigma(bridge) = 0 and all even-prefix areas are >= 0."""
-    _check_bridge(bridge)
+def _renewal_times(bridge: Walk) -> list[int] | None:
+    """The even times where height and area are both 0, the last being
+    len(bridge), or None once an even-prefix area is negative or if the
+    last is not 0.  Unchecked: callers pass a validated bridge."""
     height = 0
     sigma = 0
+    cuts = []
     for i in range(0, len(bridge), 2):
         height += bridge[i] + bridge[i + 1]
         sigma += height // 2
         if sigma < 0:
-            return False
-    return sigma == 0
+            return None
+        if height == sigma == 0:
+            cuts.append(i + 2)
+    return cuts if sigma == 0 else None
+
+
+def is_graphical_bridge(bridge: Walk) -> bool:
+    """True iff sigma(bridge) = 0 and all even-prefix areas are >= 0."""
+    _check_bridge(bridge)
+    return _renewal_times(bridge) is not None
 
 
 def irreducible_decomposition(bridge: Walk) -> list[Walk]:
@@ -117,12 +132,10 @@ def irreducible_decomposition(bridge: Walk) -> list[Walk]:
     completes a graphical bridge.  The returned parts are irreducible
     and concatenate to the input.  Rejects non-graphical input.
     """
-    if not is_graphical_bridge(bridge):
+    _check_bridge(bridge)
+    cuts = _renewal_times(bridge)
+    if cuts is None:
         raise ValueError("irreducible_decomposition needs a graphical bridge")
-    # a pair adds half its new height to sigma, so the height after pair
-    # j is 0 exactly where sigma_j = sigma_{j-1} (with sigma_0 = 0)
-    areas = [0] + even_prefix_areas(bridge)
-    cuts = [2 * j for j in range(1, len(areas)) if areas[j] == areas[j - 1] == 0]
     return [bridge[i:j] for i, j in zip([0] + cuts, cuts)]
 
 
@@ -131,21 +144,10 @@ def is_irreducible_bridge(bridge: Walk) -> bool:
 
     Equivalently: no proper nonempty even prefix is itself a graphical
     bridge, so the decomposition has exactly one part.  The empty bridge
-    is graphical but not irreducible.  One scan over the even prefixes:
-    the area never negative, no interior point at height 0 and area 0,
-    and the end at area 0.
+    is graphical but not irreducible.
     """
     _check_bridge(bridge)
-    height = 0
-    sigma = 0
-    for i in range(0, len(bridge), 2):
-        if i and height == sigma == 0:
-            return False
-        height += bridge[i] + bridge[i + 1]
-        sigma += height // 2
-        if sigma < 0:
-            return False
-    return sigma == 0 and len(bridge) > 0
+    return _renewal_times(bridge) == [len(bridge)]
 
 
 def enumerate_bridges(n: int) -> Iterator[Walk]:
@@ -164,8 +166,9 @@ def enumerate_graphical_bridges(n: int) -> Iterator[Walk]:
     Exhaustive, so n is capped at ENUMERATION_CAP.
     """
     check_size("n", n, 0, ENUMERATION_CAP)
+    # each candidate has n steps of each sign, so it needs no check
     for bridge in enumerate_bridges(n):
-        if is_graphical_bridge(bridge):
+        if _renewal_times(bridge) is not None:
             yield bridge
 
 

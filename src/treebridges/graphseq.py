@@ -194,7 +194,7 @@ def graphical_sequence_counts(n_max: int) -> tuple:
 
 def count_graphical_sequences(n: int) -> int:
     """Number of graphical degree sequences of length n."""
-    check_size("n", n, 1)
+    check_size("n", n, 1, COUNT_CAP)
     return graphical_sequence_counts(n)[n]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bridges, series, trees
+from treebridges import bijections, bridges, series, trees
 
 # graphical bridge counts by half-length, starting at the empty bridge
 BRIDGE_COUNTS = (1, 2, 4, 8, 17, 38, 92, 236, 643, 1834)
@@ -247,6 +247,53 @@ def test_irreducible_scan_matches_the_decomposition():
             assert bridges.is_irreducible_bridge(b) == want, b
     with pytest.raises(ValueError):
         bridges.is_irreducible_bridge((1, 1))
+
+
+def test_renewal_scan_matches_the_even_prefix_areas():
+    # the predicates and the part ends against an oracle read from the
+    # even-prefix areas alone: graphical iff no area is negative and the
+    # last is 0; a cut at 2j where sigma_j = sigma_{j-1} = 0 (sigma_0 = 0)
+    for n in range(9):
+        for b in bridges.enumerate_bridges(n):
+            areas = [0] + bridges.even_prefix_areas(b)
+            graphical = min(areas) >= 0 and areas[-1] == 0
+            cuts = [2 * j for j in range(1, n + 1) if areas[j] == areas[j - 1] == 0]
+            assert bridges.is_graphical_bridge(b) == graphical, b
+            assert bridges.is_irreducible_bridge(b) == (graphical and cuts == [2 * n]), b
+            if not graphical:
+                with pytest.raises(ValueError, match="graphical bridge"):
+                    bridges.irreducible_decomposition(b)
+                with pytest.raises(ValueError, match="graphical bridge"):
+                    bijections.first_irreducible_length(b)
+                continue
+            parts = bridges.irreducible_decomposition(b)
+            assert list(accumulate(len(p) for p in parts)) == cuts, b
+            if n:
+                assert bijections.first_irreducible_length(b) == cuts[0], b
+
+
+CHECKED_WALK_FUNCTIONS = {
+    "even_prefix_areas": bridges.even_prefix_areas,
+    "diamond_area": bridges.diamond_area,
+    "lazify": bridges.lazify,
+    "is_graphical_bridge": bridges.is_graphical_bridge,
+    "is_irreducible_bridge": bridges.is_irreducible_bridge,
+    "irreducible_decomposition": bridges.irreducible_decomposition,
+    "first_irreducible_length": bijections.first_irreducible_length,
+    "ShiftedPair": lambda w: bijections.ShiftedPair(w, 0),
+    "unshift_bridge": bijections.unshift_bridge,
+    "bridge_to_path": bijections.bridge_to_path,
+}
+
+
+@pytest.mark.parametrize("walk", [(2, -2), (3, -1, -1, -1), [1, 0, -1, 0]], ids=str)
+@pytest.mark.parametrize(
+    "fn", CHECKED_WALK_FUNCTIONS.values(), ids=CHECKED_WALK_FUNCTIONS.keys()
+)
+def test_increments_other_than_plus_or_minus_one_are_rejected(fn, walk):
+    # each walk has even length and sums to 0, so only the increments are wrong
+    with pytest.raises(ValueError, match=r"walk increments must be \+1 or -1"):
+        fn(walk)
 
 
 def test_count_bridges_area_divisible_matches_bruteforce():

@@ -87,6 +87,8 @@ BOUNDARY = {
         graphseq.all_graph_degree_sequences, "n", 0, graphseq.ORACLE_CAP,
     ),
     "ratio_table": (graphseq.ratio_table, "n_max", 0, graphseq.COUNT_CAP),
+    "count_graphical_sequences": (graphseq.count_graphical_sequences, "n", 1, graphseq.COUNT_CAP),
+    "graphical_sequence_counts": (graphseq.graphical_sequence_counts, "n_max", 0, graphseq.COUNT_CAP),
     "is_graphical_sequence": (lambda v: graphseq.is_graphical_sequence((0, v)), "degree", 0, 1),
     # by keyword: an untyped cache serves n=True or terms=True the entry for 1
     "euler_phi": (lambda v: euler_phi(n=v), "n", 1, TRIAL_DIVISION_CAP),

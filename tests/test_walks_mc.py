@@ -27,6 +27,25 @@ def test_forced_streams():
     assert walks_mc.stop_time_outcome([1, -1, 0], 3) == WalkOutcome.CAPPED
 
 
+def test_irreducible_bridges_are_the_lazy_walks_first_stopping_at_area_zero():
+    # each lazy step is the image of 1, 1 or 2 of the 4 increment pairs,
+    # so this is the finite-n form of rho = sum_k irr_k 4^-k
+    counts = []
+    for n in range(1, 9):
+        count = 0
+        for b in bridges.enumerate_bridges(n):
+            lazy = bridges.lazify(b)
+            stops = walks_mc.stop_time_outcome(lazy, n) is WalkOutcome.AREA_ZERO
+            if n >= 2:
+                # and not before step n
+                earlier = walks_mc.stop_time_outcome(lazy[: n - 1], n - 1)
+                stops = stops and earlier is WalkOutcome.CAPPED
+            assert bridges.is_irreducible_bridge(b) == stops, b
+            count += stops
+        counts.append(count)
+    assert counts == [2, 0, 0, 1, 2, 8, 20, 66]
+
+
 def test_stop_time_outcome_validates_horizon():
     with pytest.raises(ValueError):
         walks_mc.stop_time_outcome([0], 0)
