@@ -16,8 +16,8 @@ prefix that completes a graphical bridge (a renewal time: position 0 and
 accumulated area 0) decomposes a graphical bridge uniquely into
 irreducible parts.  One scan over the even prefixes, _renewal_times,
 gives graphicality, the renewal times and irreducibility, behind one
-check that rejects odd lengths, increments other than +-1 and, for a
-bridge, a nonzero sum.
+check that rejects odd lengths, increments other than the ints +-1
+and, for a bridge, a nonzero sum.
 
 Graphical bridges are counted by one forward DP over (height, area)
 after each pair of increments, bridge_layers.  It is pruned to states
@@ -52,7 +52,8 @@ BRIDGE_DP_CAP = 200
 def _check_even_length(walk: Walk) -> None:
     if len(walk) % 2:
         raise ValueError(f"walk length must be even, got {len(walk)}")
-    if walk.count(1) + walk.count(-1) != len(walk):
+    # True and 1.0 equal 1, so the counts alone let bools and floats in
+    if walk.count(1) + walk.count(-1) != len(walk) or not set(map(type, walk)) <= {int}:
         raise ValueError("walk increments must be +1 or -1")
 
 

@@ -100,9 +100,6 @@ class BoundedReal:
     def high(self) -> float:
         return self.value + self.error_bound
 
-    def contains(self, x: float) -> bool:
-        return self.low <= x <= self.high
-
     @staticmethod
     def from_interval(lo: float, hi: float, slack: float = 0.0) -> "BoundedReal":
         return BoundedReal((lo + hi) / 2, (hi - lo) / 2 + slack)

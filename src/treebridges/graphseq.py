@@ -26,7 +26,7 @@ on up to 6 vertices certify the test and the counts independently.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .numtheory import check_size
 
@@ -37,8 +37,8 @@ from .numtheory import check_size
 # and 0.5 s / 48 MB peak resident memory at 7 (2-core x86-64, Python 3.11)
 ORACLE_CAP = 6
 # the Frobenius sweep behind count_graphical_sequences and the G table:
-# the whole CLI table takes 0.9 s / 41 MB at n = 100 and 7-10 s /
-# 136-142 MB peak resident memory at 200 on a 2-core x86-64 host with
+# the whole CLI table takes 0.8-1.1 s / 40 MB at n = 100 and 8.5-12 s /
+# 136-137 MB peak resident memory at 200 on a 2-core x86-64 host with
 # Python 3.11
 COUNT_CAP = 200
 
@@ -125,13 +125,18 @@ def _push(stacks, x: int, size: int):
     stacks[m, p] counts stacks whose partial sums from the top reach
     down to -m at worst (m >= 0) and whose total has parity p.  The new
     top gives m' = max(0, m - x) and p' = p + x; rows m' >= size are
-    dropped.
+    dropped, so x = 0 only cuts or zero-pads stacks to size rows.  The
+    result may be a view of stacks; callers do not write to it.
     """
     import numpy as np
 
+    # the sweep cuts every table once per arm; a copy where a view does
+    # costs it about 10% at n_max = 120
+    if x == 0 and len(stacks) >= size:
+        return stacks[:size]
     if x & 1:
         stacks = stacks[:, ::-1]
-    out = np.zeros((size, 2), dtype=object)
+    out = np.zeros((size, 2), dtype=stacks.dtype)
     if x >= 0:
         out[0] = stacks[: x + 1].sum(axis=0)
         tail = stacks[x + 1 : x + size]
@@ -139,17 +144,6 @@ def _push(stacks, x: int, size: int):
     else:
         head = stacks[: max(size + x, 0)]
         out[-x : -x + len(head)] = head
-    return out
-
-
-def _fit(stacks, size: int):
-    """stacks cut or zero-padded to size rows."""
-    import numpy as np
-
-    if len(stacks) >= size:
-        return stacks[:size]
-    out = np.zeros((size, 2), dtype=object)
-    out[: len(stacks)] = stacks
     return out
 
 
@@ -162,10 +156,12 @@ def graphical_sequence_counts(n_max: int) -> tuple:
     as in _push; it is a graphical sequence when m = 0 and the parity is
     even.  The stacks a top (a, l) can sit on are the empty one and
     those whose top lies strictly below and left of it, a 2-D prefix sum
-    kept row by row: below[l] sums the empty stack and the stacks with
-    top arm < a and top leg <= l.
+    kept row by row: below[l + 1] sums the empty stack and the stacks
+    with top arm < a and top leg <= l, and below[0] is the empty stack.
     A closed stack's top (a, l) has x = l - a - 1 >= 0, so it fits the
-    box from length l + 1 on, and one sweep serves every length.
+    box from length l + 1 on: after the last arm, the closed stacks
+    counted in below[n] (its row 0, even parity) are G(n), and one sweep
+    serves every length.
 
     Pairs above arm a add at most floor((n_max - a - 2)^2 / 4) to the
     partial sums, and the arms up to a take at most (a+1)(a+2)/2 from
@@ -175,21 +171,17 @@ def graphical_sequence_counts(n_max: int) -> tuple:
 
     check_size("n_max", n_max, 0, COUNT_CAP)
     empty = np.array([[1, 0]], dtype=object)
-    below = [empty] * n_max
-    # first[n]: graphical sequences whose top pair has leg n - 1 (first[0]:
-    # the empty pair set, counted at every length)
-    first = [1] + [0] * n_max
+    below = [empty] * (n_max + 1)
     for a in range(n_max - 1):
         size = min((a + 1) * (a + 2) // 2, (n_max - a - 2) ** 2 // 4) + 1
-        run = np.zeros((size, 2), dtype=object)
-        here = []
+        run = np.zeros((size, 2), dtype=empty.dtype)
+        here = [empty]
         for leg in range(n_max):
-            top = _push(below[leg - 1] if leg else empty, leg - a - 1, size)
-            first[leg + 1] += top[0, 0]
+            top = _push(below[leg], leg - a - 1, size)
             run += top
-            here.append(_fit(below[leg], size) + run)
+            here.append(_push(below[leg + 1], 0, size) + run)
         below = here
-    return tuple(accumulate(first))
+    return tuple(t[0, 0] for t in below)
 
 
 def count_graphical_sequences(n: int) -> int:

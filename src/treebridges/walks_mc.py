@@ -33,9 +33,9 @@ from .numtheory import check_int, check_size
 # numpy is imported inside the functions that use it, so that importing
 # the package does not load it
 
-# the first draw at n builds and keeps every forward layer of the bridge
-# DP: measured 1.4 s and 100 MB of resident memory at n = 100 (0.03 s and
-# 2 MB at n = 40) on a 2-core x86-64 host with Python 3.11
+# the sampler's kept table of bridge DP layers never grows past this
+# cap: measured 1.4 s and 100 MB of resident memory at n = 100 (0.03 s
+# and 2 MB at n = 40) on a 2-core x86-64 host with Python 3.11
 SAMPLING_CAP = 100
 # elements per simulation block; keeps peak numpy memory modest
 _BLOCK_BUDGET = 4_000_000
@@ -82,12 +82,12 @@ def stop_time_outcome(increments, horizon: int) -> WalkOutcome:
 
 def simulate_stopped_walk(seed: int, horizon: int) -> WalkOutcome:
     """One lazy walk run with its own stdlib generator."""
+    check_int("seed", seed)
     rng = random.Random(seed)
 
     def stream():
         while True:
-            u = rng.randrange(4)
-            yield 1 if u == 0 else (-1 if u == 1 else 0)
+            yield _STEPS[rng.randrange(4)]
 
     return stop_time_outcome(stream(), horizon)
 
@@ -213,14 +213,18 @@ def estimate_zero_area_prob(
 _PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-# the forward layers built for the largest n drawn so far
+# the forward layers of the last table built, through at least the
+# largest n drawn so far
 _layers: tuple = ()
 
 
 def _layers_through(n: int) -> tuple:
     global _layers
     if len(_layers) <= n:
-        _layers = tuple(bridge_layers(n))
+        # grown by a quarter, so an ascending session builds few tables;
+        # not doubled, as a build costs about n^4.3
+        grown = min(SAMPLING_CAP, max(n, (len(_layers) - 1) * 5 // 4))
+        _layers = tuple(bridge_layers(grown))
     return _layers
 
 
@@ -233,9 +237,9 @@ def sample_uniform_graphical_bridge(n: int, seed: int):
     those weights sum to the layer k count of the current state, so
     every bridge is drawn with probability 1 / b_n.  Layers built for a
     larger n hold the same counts at every state a draw can reach, so
-    one table, built for the largest n drawn so far, serves all smaller
-    n and a draw depends only on (n, seed).  The draws use integer
-    ranges, so huge counts lose no precision.
+    one table, built through at least the largest n drawn so far,
+    serves all smaller n and a draw depends only on (n, seed).  The
+    draws use integer ranges, so huge counts lose no precision.
     """
     check_size("n", n, 0, SAMPLING_CAP)
     check_int("seed", seed)

@@ -286,7 +286,9 @@ CHECKED_WALK_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("walk", [(2, -2), (3, -1, -1, -1), [1, 0, -1, 0]], ids=str)
+@pytest.mark.parametrize(
+    "walk", [(2, -2), (3, -1, -1, -1), [1, 0, -1, 0], (1.0, -1.0), (True, -1)], ids=str
+)
 @pytest.mark.parametrize(
     "fn", CHECKED_WALK_FUNCTIONS.values(), ids=CHECKED_WALK_FUNCTIONS.keys()
 )

@@ -27,10 +27,10 @@ REF_SLOP = 1e-16
 def test_bounded_real_interval_api():
     x = constants.BoundedReal(1.5, 0.25)
     assert x.low == 1.25 and x.high == 1.75
-    assert x.contains(1.6)
-    assert not x.contains(1.8)
+    assert x.low <= 1.6 <= x.high
+    assert not x.low <= 1.8 <= x.high
     y = constants.BoundedReal.from_interval(1.0, 2.0)
-    assert y.contains(1.0) and y.contains(2.0)
+    assert y.low <= 1.0 <= y.high and y.low <= 2.0 <= y.high
     assert y.value == pytest.approx(1.5)
 
 

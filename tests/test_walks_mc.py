@@ -60,6 +60,20 @@ def test_simulate_stopped_walk_deterministic():
         assert a == b
 
 
+def test_simulate_stopped_walk_outcomes_frozen():
+    # the outcomes of the stream that mapped u = 0, 1, 2, 3 to 1, -1, 0, 0
+    z, ng, cp = WalkOutcome.AREA_ZERO, WalkOutcome.AREA_NEGATIVE, WalkOutcome.CAPPED
+    expected = (z, ng, ng, ng, ng, z, cp, z, ng, z, ng, z)
+    assert tuple(walks_mc.simulate_stopped_walk(seed, 1000) for seed in range(12)) == expected
+
+
+def test_simulate_stopped_walk_rejects_non_int_seed():
+    # None would seed from OS entropy, so the run could not be repeated
+    for bad in (True, 1.5, "abc", None):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            walks_mc.simulate_stopped_walk(bad, 10)
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError):
         walks_mc.estimate_zero_area_prob(0, 10, 1)
@@ -270,6 +284,35 @@ def test_sampler_draw_does_not_depend_on_table_size(monkeypatch):
     walks_mc.sample_uniform_graphical_bridge(30, 0)
     assert len(walks_mc._layers) == 31
     assert [walks_mc.sample_uniform_graphical_bridge(14, seed) for seed in range(30)] == own
+
+
+def _spy_on_table_builds(monkeypatch) -> list:
+    builds = []
+
+    def spy(n_max):
+        builds.append(n_max)
+        return bridges.bridge_layers(n_max)
+
+    monkeypatch.setattr(walks_mc, "_layers", ())
+    monkeypatch.setattr(walks_mc, "bridge_layers", spy)
+    return builds
+
+
+def test_ascending_sampler_session_grows_its_table(monkeypatch):
+    builds = _spy_on_table_builds(monkeypatch)
+    for n in range(20, 35):
+        assert bridges.is_graphical_bridge(walks_mc.sample_uniform_graphical_bridge(n, n))
+    # one table per n would be 15 builds
+    assert builds == [20, 25, 31, 38]
+
+
+def test_sampler_table_growth_stops_at_the_cap(monkeypatch):
+    builds = _spy_on_table_builds(monkeypatch)
+    monkeypatch.setattr(walks_mc, "SAMPLING_CAP", 30)
+    walks_mc.sample_uniform_graphical_bridge(28, 0)
+    walks_mc.sample_uniform_graphical_bridge(29, 0)
+    walks_mc.sample_uniform_graphical_bridge(30, 0)
+    assert builds == [28, 30]
 
 
 def test_sampler_rejects_non_int():
