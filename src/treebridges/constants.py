@@ -66,7 +66,9 @@ end, so [low, high] holds xi; each series stops once its tail is below
 2^-100.  C and rho apply exp to the ends of xi's float interval by
 Taylor's series: for 0 <= x <= 1 the terms from x^k/k! on sum to at
 most x^k/k! / (1 - x/(k+1)) <= 2 x^k/k!.  Both functions increase in
-xi.  Gamma(3/4) keeps the libm route of gamma_three_quarters.
+xi.  The prefactor divides Gamma(3/4)'s interval by Machin's pi and by
+4 sqrt(2) in [r, r + 1) / 2^98, r = isqrt(2^201), in Fractions too; its
+one trusted input is libm's Gamma(3/4), in gamma_three_quarters.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ class BoundedReal:
     @property
     def high(self) -> float:
         return self.value + self.error_bound
-
-    @staticmethod
-    def from_interval(lo: float, hi: float, slack: float = 0.0) -> "BoundedReal":
-        return BoundedReal((lo + hi) / 2, (hi - lo) / 2 + slack)
 
     @staticmethod
     def from_fractions(lo: Fraction, hi: Fraction) -> "BoundedReal":
@@ -169,10 +167,15 @@ def _atan_inverse(q: int) -> tuple[Fraction, Fraction]:
         k += 1
 
 
-def _inner_sum_m1() -> tuple[Fraction, Fraction]:
-    """I_1 = pi^2/6 - 2 ln^2 2, bracketed; pi by Machin's formula."""
+def _pi() -> tuple[Fraction, Fraction]:
+    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin), bracketed."""
     a5, a239 = _atan_inverse(5), _atan_inverse(239)
-    pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+
+
+def _inner_sum_m1() -> tuple[Fraction, Fraction]:
+    """I_1 = pi^2/6 - 2 ln^2 2, bracketed."""
+    pi_lo, pi_hi = _pi()
     ln2_lo, ln2_hi = _ln2()
     return pi_lo**2 / 6 - 2 * ln2_hi**2, pi_hi**2 / 6 - 2 * ln2_lo**2
 
@@ -237,11 +240,14 @@ def gamma_three_quarters() -> BoundedReal:
 
 
 def gamma_prefactor() -> BoundedReal:
-    """Gamma(3/4) / (2^(5/2) * pi), the growth constant with xi zeroed."""
+    """Gamma(3/4) / (2^(5/2) * pi), the growth constant with xi zeroed;
+    r / 2^98 <= 2^(5/2) = 4 sqrt(2) < (r + 1) / 2^98."""
     g = gamma_three_quarters()
-    denom = 2**2.5 * math.pi
-    return BoundedReal.from_interval(
-        g.low / denom, g.high / denom, slack=4e-17
+    v, e = Fraction(g.value), Fraction(g.error_bound)
+    r = math.isqrt(2 << 200)
+    pi_lo, pi_hi = _pi()
+    return BoundedReal.from_fractions(
+        (v - e) * 2**98 / ((r + 1) * pi_hi), (v + e) * 2**98 / (r * pi_lo)
     )
 
 

@@ -6,16 +6,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def check_int(name: str, value) -> None:
-    """Reject bool and non-int arguments with a TypeError naming them."""
+def check_size(name: str, value, least: int, cap: int | None = None) -> None:
+    """Reject a bool or non-int with a TypeError, then a value below least
+    or above cap with a ValueError, each naming the argument."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-
-
-def check_size(name: str, value, least: int, cap: int | None = None) -> None:
-    """check_int, then reject a value below least or above cap with a
-    ValueError naming the argument."""
-    check_int(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     if cap is not None and value > cap:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .bridges import bridge_layers
-from .numtheory import check_int, check_size
+from .numtheory import check_size
 
 # numpy is imported inside the functions that use it, so that importing
 # the package does not load it
@@ -82,7 +82,7 @@ def stop_time_outcome(increments, horizon: int) -> WalkOutcome:
 
 def simulate_stopped_walk(seed: int, horizon: int) -> WalkOutcome:
     """One lazy walk run with its own stdlib generator."""
-    check_int("seed", seed)
+    check_size("seed", seed, 0)
     rng = random.Random(seed)
 
     def stream():
@@ -242,7 +242,7 @@ def sample_uniform_graphical_bridge(n: int, seed: int):
     draws use integer ranges, so huge counts lose no precision.
     """
     check_size("n", n, 0, SAMPLING_CAP)
-    check_int("seed", seed)
+    check_size("seed", seed, 0)
     layers = _layers_through(n)
     rng = random.Random(seed)
     pairs: list[tuple] = []

@@ -29,9 +29,6 @@ def test_bounded_real_interval_api():
     assert x.low == 1.25 and x.high == 1.75
     assert x.low <= 1.6 <= x.high
     assert not x.low <= 1.8 <= x.high
-    y = constants.BoundedReal.from_interval(1.0, 2.0)
-    assert y.low <= 1.0 <= y.high and y.low <= 2.0 <= y.high
-    assert y.value == pytest.approx(1.5)
 
 
 def test_tree_count_table_matches_per_index_formula():
@@ -174,6 +171,16 @@ def test_gamma_prefactor():
     assert abs(pref.value - PREFACTOR_REF) <= pref.error_bound + REF_SLOP
 
 
+def test_prefactor_and_growth_constant_read_no_float_pi(monkeypatch):
+    # both divide by Machin's pi, so a wrong math.pi cannot move them
+    monkeypatch.setattr(math, "pi", 3.0)
+    for got, ref in (
+        (constants.gamma_prefactor(), PREFACTOR_REF),
+        (constants.count_growth_constant(), C_REF),
+    ):
+        assert abs(got.value - ref) <= got.error_bound + REF_SLOP
+
+
 def test_count_growth_constant_brackets_reference():
     c = constants.count_growth_constant()
     assert abs(c.value - C_REF) <= c.error_bound + REF_SLOP
@@ -181,11 +188,9 @@ def test_count_growth_constant_brackets_reference():
     # coarser interval, which must hold C's
     pref = constants.gamma_prefactor()
     xi = constants.tree_series(50_000)
-    coarser = constants.BoundedReal.from_interval(
-        pref.low * math.exp(xi.low), pref.high * math.exp(xi.high)
-    )
-    assert coarser.low - REF_SLOP <= c.low and c.high <= coarser.high + REF_SLOP
-    assert c.error_bound < coarser.error_bound
+    coarse_lo, coarse_hi = pref.low * math.exp(xi.low), pref.high * math.exp(xi.high)
+    assert coarse_lo - REF_SLOP <= c.low and c.high <= coarse_hi + REF_SLOP
+    assert c.error_bound < (coarse_hi - coarse_lo) / 2
 
 
 def test_exact_zero_area_prob_brackets_reference():

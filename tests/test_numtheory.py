@@ -101,6 +101,10 @@ BOUNDARY = {
     "estimate-samples": (lambda v: walks_mc.estimate_zero_area_prob(v, 1, 0), "samples", 1, None),
     "estimate-horizon": (lambda v: walks_mc.estimate_zero_area_prob(1, v, 0), "horizon", 1, None),
     "estimate-seed": (lambda v: walks_mc.estimate_zero_area_prob(1, 1, v), "seed", 0, None),
+    "simulate_stopped_walk": (lambda v: walks_mc.simulate_stopped_walk(v, 10), "seed", 0, None),
+    "sample_uniform_graphical_bridge-seed": (
+        lambda v: walks_mc.sample_uniform_graphical_bridge(3, v), "seed", 0, None,
+    ),
     "estimate-workers": (
         lambda v: walks_mc.estimate_zero_area_prob(1, 1, 0, workers=v), "workers", 1, None,
     ),

@@ -276,6 +276,21 @@ def test_sampler_support_n6_is_every_graphical_bridge():
     assert drawn == set(bridges.enumerate_graphical_bridges(6))
 
 
+@pytest.mark.parametrize(
+    "n, seed, drawn",
+    [
+        (5, 0, "DUDUUDDUDU"),
+        (12, 7, "UDUUDDUDUUDUDDDDDUUDUUUD"),
+        (20, 1, "UUUDDDUDUUUUDDDDDUUDDUDUDUUDDDDDUUDUDUUU"),
+        (34, 123456, "DUUUDDUUDDUDUUDUDUUUUUUDDDDUDDUUDDUDDUDDDDUUDDDUDUDDDDUUDDUDUDUUUUUU"),
+    ],
+)
+def test_sampler_stream_is_pinned(n, seed, drawn):
+    # frozen so that a change to the sampler's checks or tables cannot
+    # silently change which bridge a (n, seed) pair draws
+    assert bridges.bridge_to_string(walks_mc.sample_uniform_graphical_bridge(n, seed)) == drawn
+
+
 def test_sampler_draw_does_not_depend_on_table_size(monkeypatch):
     # layers built for a larger n hold the same weights for a smaller one
     monkeypatch.setattr(walks_mc, "_layers", ())
