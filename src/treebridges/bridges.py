@@ -25,6 +25,24 @@ whose area can still return to 0, by a closed form for the least area
 that the remaining pairs add (see bridge_layers).  It serves both
 graphical_bridge_counts and the exact sampler in walks_mc, which draws
 backward from its layers.
+
+The exhaustive oracle enumerate_graphical_bridges walks increment pairs
+depth first, keeping (pairs left, height, sigma), so every prefix is
+built once and shared by all its extensions.  With r pairs left after
+the one just placed and half-height a = height/2, it cuts a prefix
+when any of these holds; none cuts a prefix of a graphical bridge:
+  1. sigma < 0.  Every even-prefix area of a graphical bridge is >= 0.
+  2. |a| > r.  A pair moves the half-height by at most 1, so r pairs
+     cannot bring it back to 0.
+  3. sigma > r(r-1)/2.  A walk at half-height 0 after r more pairs is
+     at half-height >= -(r - j) after j of them, and pair j adds that
+     half-height to sigma; so the r pairs lower sigma by at most
+     sum_{j=1..r} (r - j) = r(r-1)/2, and sigma cannot return to 0.
+At r = 0 the cuts leave only height 0 and sigma 0, so every leaf is a
+graphical bridge.  Pairs are tried in the order (1,1), (1,-1), (-1,1),
+(-1,-1), so the output is lexicographic with +1 < -1.  Cut 3 is looser
+than bridge_layers' closing bound and shares no code with it, so the
+enumeration stays an independent check of the DP.
 """
 
 from __future__ import annotations
@@ -37,7 +55,13 @@ from .numtheory import check_size
 
 Walk = tuple  # increments over {+1, -1}
 
-# exhaustive enumeration touches binomial(2n, n) bridges
+# increment pairs in lexicographic order with +1 < -1
+_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+# the exhaustive oracles: count_bridges_area_divisible_bruteforce touches
+# all binomial(2n, n) bridges, 1.0-1.1 s at n = 10, while the depth-first
+# enumerate_graphical_bridges visits only prefixes its cuts keep, 0.02 s
+# for the 5,440 graphical bridges at 10 (2-core x86-64, Python 3.11)
 ENUMERATION_CAP = 10
 # the two residue DPs, count_bridges_area_divisible and the path DP in
 # trees: 0.10 s and 0.08 s at n = 100, 1.0 s and 0.8 s at 200, each within
@@ -164,13 +188,26 @@ def enumerate_bridges(n: int) -> Iterator[Walk]:
 def enumerate_graphical_bridges(n: int) -> Iterator[Walk]:
     """All graphical bridges of length 2n, lexicographic with +1 < -1.
 
-    Exhaustive, so n is capped at ENUMERATION_CAP.
+    A depth-first walk over increment pairs that shares every prefix;
+    the cuts are proved in the module docstring.  Exhaustive, so n is
+    capped at ENUMERATION_CAP.
     """
     check_size("n", n, 0, ENUMERATION_CAP)
-    # each candidate has n steps of each sign, so it needs no check
-    for bridge in enumerate_bridges(n):
-        if _renewal_times(bridge) is not None:
-            yield bridge
+
+    def extend(walk: Walk, height: int, sigma: int, r: int) -> Iterator[Walk]:
+        if not r:
+            yield walk
+            return
+        r -= 1  # pairs left after the next one
+        most = r * (r - 1) // 2
+        for pair in _PAIRS:
+            h = height + pair[0] + pair[1]
+            s = sigma + h // 2
+            # cuts 1 and 3, then cut 2, of the module docstring
+            if 0 <= s <= most and -2 * r <= h <= 2 * r:
+                yield from extend(walk + pair, h, s, r)
+
+    yield from extend((), 0, 0, n)
 
 
 # two-step transition blocks for the DP over even times: a pair of

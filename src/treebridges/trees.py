@@ -19,6 +19,7 @@ comes from the divisor sum in zero_sum_multisets, since T(n) = M(n, n).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bridges import RESIDUE_DP_CAP
@@ -137,6 +138,10 @@ def count_paths_area_divisible(n: int) -> int:
     return sum(count_paths_by_final_step(n))
 
 
+# the lemmas battery reads each n twice, here and through
+# count_paths_area_divisible; typed, so that True is not served the
+# cached entry for 1
+@lru_cache(maxsize=None, typed=True)
 def count_paths_by_final_step(n: int) -> tuple[int, int]:
     """Paths (0,0) -> (n,n) with area divisible by n, counted by DP and
     split by the path's last step.

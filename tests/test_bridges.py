@@ -196,6 +196,19 @@ def test_enumeration_cap():
         list(bridges.enumerate_graphical_bridges(bridges.ENUMERATION_CAP + 1))
 
 
+def test_enumeration_is_the_filtered_bridge_list():
+    # the depth-first walk against the definition, order included
+    for n in range(10):
+        assert list(bridges.enumerate_graphical_bridges(n)) == [
+            b for b in bridges.enumerate_bridges(n) if bridges.is_graphical_bridge(b)
+        ], n
+
+
+def test_enumeration_counts_at_the_cap():
+    counts = [sum(1 for _ in bridges.enumerate_graphical_bridges(n)) for n in range(11)]
+    assert counts == list(bridges.graphical_bridge_counts(10))
+
+
 def test_decomposition_parts_concatenate(graphical_bridges_by_n):
     for n in range(1, 7):
         for b in graphical_bridges_by_n[n]:
@@ -324,6 +337,17 @@ def test_count_paths_area_divisible_cap(fn):
     # the path DP is the other residue oracle, under the same cap
     with pytest.raises(ValueError, match="capped"):
         fn(bridges.RESIDUE_DP_CAP + 1)
+
+
+def test_path_dp_cache_is_typed():
+    # True equals 1: an untyped cache keys a lone positional int apart from
+    # a bool, but would serve n=True the entry cached for n=1
+    trees.count_paths_by_final_step(1)
+    trees.count_paths_by_final_step(n=1)
+    with pytest.raises(TypeError, match="n"):
+        trees.count_paths_by_final_step(True)
+    with pytest.raises(TypeError, match="n"):
+        trees.count_paths_by_final_step(n=True)
 
 
 def test_string_round_trip(graphical_bridges_by_n):
