@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="substreams to split the walks into; they run on at most "
-        "min(workers, substreams, CPU count) forked processes of about 100 MiB each",
+        "min(workers, substreams, CPU count) forked processes of about 50 MB each",
     )
     p_mc.set_defaults(func=cmd_rho_mc)
 

@@ -87,8 +87,8 @@ def test_estimate_validation():
 
 def test_estimate_memory_stays_within_the_block_budget():
     # a worker runs at most 250,000 walks at a time, so the first block,
-    # 16 steps wide, stays within _BLOCK_BUDGET elements; in one block of
-    # 1e6 walks the same run peaks near 400 MiB
+    # 16 steps wide, stays within _BLOCK_BUDGET elements: the run peaks
+    # near 10 MiB, and near 32 MiB in one block of 1e6 walks
     tracemalloc.start()
     try:
         est = walks_mc.estimate_zero_area_prob(1_000_000, 16, seed=5)
@@ -98,6 +98,110 @@ def test_estimate_memory_stays_within_the_block_budget():
     assert est.samples == 1_000_000
     assert 0.0 < est.capped_fraction < 1.0
     assert peak < 150 * 2**20
+
+
+def test_one_share_peaks_at_its_block_state_and_one_tile():
+    # the int8 block of 250,000 x 16 draws is 3.8 MiB, the int64 height
+    # and area of 250,000 walks another 3.8 MiB, and one tile's two int64
+    # running sums 1 MiB, so 12 MiB leaves room for the tile's compares
+    ss = np.random.SeedSequence(entropy=1, spawn_key=(0,))
+    tracemalloc.start()
+    try:
+        walks_mc._run_worker(250_000, 16, ss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def _whole_block_run_worker(samples, horizon, seed_seq):
+    # the scan that read each block whole, kept as the reference for
+    # the tiled one
+    steps = np.array(walks_mc._STEPS, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    y = np.zeros(samples, dtype=np.int64)
+    area = np.zeros(samples, dtype=np.int64)
+    zero = negative = 0
+    done = 0
+    while y.size and done < horizon:
+        width = min(max(16, walks_mc._BLOCK_BUDGET // y.size), horizon - done)
+        u = rng.integers(0, 4, size=(y.size, width), dtype=np.int8)
+        ypath = steps[u]
+        ypath[:, 0] += y
+        np.cumsum(ypath, axis=1, out=ypath)
+        apath = np.cumsum(ypath, axis=1)
+        apath += area[:, None]
+        stop = (ypath == 0) & (apath <= 0)
+        hit = stop.any(axis=1)
+        rows = np.flatnonzero(hit)
+        stop_area = apath[rows, stop[rows].argmax(axis=1)]
+        zero += int(np.count_nonzero(stop_area == 0))
+        negative += int(np.count_nonzero(stop_area < 0))
+        # boolean indexing copies, so the block's arrays can be freed
+        alive = ~hit
+        y = ypath[alive, -1]
+        area = apath[alive, -1]
+        done += width
+    return zero, negative, y.size
+
+
+def test_increment_map_is_the_step_table():
+    u = np.arange(4, dtype=np.int8)
+    inc = walks_mc._increments(u)
+    assert inc.dtype == np.int64
+    assert tuple(inc.tolist()) == walks_mc._STEPS
+
+
+@pytest.mark.parametrize(
+    "samples, horizon, seed",
+    [(s, h, seed) for seed in range(20) for s, h in ((37, 300), (200, 40))]
+    + [
+        # blocks wider than a tile, read in column chunks: in each run a
+        # lone row stops past its first chunk, and in the last two rows
+        # are carried through every chunk to the horizon
+        (12, 300_000, 9),
+        (30, 400_000, 5),
+        (30, 400_000, 0),
+        # rows x width just past a tile: a short second row group
+        (4097, 16, 2),
+        (4100, 20, 3),
+        # one walker
+        (1, 100_000, 4),
+        (1, 5, 5),
+        # horizons below the 16-step minimum width
+        (500, 7, 6),
+        (3, 1, 7),
+    ],
+)
+def test_tiled_scan_gives_the_whole_block_counts(samples, horizon, seed):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    want = _whole_block_run_worker(samples, horizon, ss)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    assert walks_mc._run_worker(samples, horizon, ss) == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lone_row_carries_its_state_across_chunks(seed):
+    # a +1 step and a lazy first chunk keep the row at height 1, so it
+    # cannot stop there, and its stop or final state depends on the
+    # (height, area) carried from chunk to chunk
+    width = 3 * walks_mc._TILE
+    u = np.random.default_rng(seed).integers(0, 4, size=(1, width), dtype=np.int8)
+    u[0, 0] = walks_mc._STEPS.index(1)
+    u[0, 1 : walks_mc._TILE] = walks_mc._STEPS.index(0)
+    incs = [walks_mc._STEPS[v] for v in u[0].tolist()]
+    y = np.zeros(1, dtype=np.int64)
+    area = np.zeros(1, dtype=np.int64)
+    got = walks_mc._scan_block(u, y, area)
+    outcome = walks_mc.stop_time_outcome(incs, width)
+    assert got == (
+        int(outcome is WalkOutcome.AREA_ZERO),
+        int(outcome is WalkOutcome.AREA_NEGATIVE),
+        int(outcome is WalkOutcome.CAPPED),
+    )
+    if outcome is WalkOutcome.CAPPED:
+        heights = np.cumsum(incs)
+        assert (y[0], area[0]) == (heights[-1], heights.sum())
 
 
 @pytest.mark.parametrize(
