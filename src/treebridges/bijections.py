@@ -80,8 +80,6 @@ def shift_bridge(pair: ShiftedPair) -> Walk:
     one certified by the exhaustive bijection checks.
     """
     b, i = pair.bridge, pair.shift
-    if i == 0:
-        return b
     return b[2 * i :] + b[: 2 * i]
 
 
@@ -102,7 +100,7 @@ def unshift_bridge(bridge: Walk) -> ShiftedPair:
     found = []
     for i in range(n):
         # candidate whose shift by 2i reproduces the input
-        cand = bridge[-2 * i :] + bridge[: -2 * i] if i else bridge
+        cand = bridge[-2 * i :] + bridge[: -2 * i]
         cuts = _renewal_times(cand)
         if cuts is not None and 2 * i < cuts[0]:
             found.append(ShiftedPair(cand, i))

@@ -19,15 +19,16 @@ tree_series(terms) sums the definition over the sieve
 trees.plane_tree_counts; it is the oracle.  Its tail after N terms is
 bounded by
 
-    tail(N) <= (2 / (3*sqrt(pi))) * N^(-3/2),
+    tail(N) <= (2 / (3*sqrt(pi))) * N^(-3/2) < 5000 / (13293 * isqrt(N^3)).
 
-which follows from k*T(k) <= 2*binomial(2k-1, k) (the divisor sum is
-dominated by its largest term) together with
-binomial(2k, k) <= 4^k / sqrt(pi*k).  The float partial sum is within
-one ulp: each integer term floor(T(k) 2^128 / (k 4^k)) is short by less
-than 2^-128, at most 2^-112 over the 50,000 terms the tree table allows,
-and the one division by 2^128 rounds within half an ulp, which is at
-least 2^-55 as the value is at least T(1)/4.
+The first bound follows from k*T(k) <= 2*binomial(2k-1, k) (the divisor
+sum is dominated by its largest term) together with
+binomial(2k, k) <= 4^k / sqrt(pi*k).  The second is rational: pi >
+3.1415 > 1.7724^2 = 3.14140176, so 2 / (3*sqrt(pi)) < 2 / (3 * 1.7724)
+= 5000/13293, and isqrt(N^3) <= N^(3/2).  The partial sum is bracketed
+in integers: each term floor(T(k) 2^128 / (k 4^k)) is short by less
+than one, so with S their sum the partial sum lies in
+[S, S + N) / 2^128, and xi in [S, S + N) / 2^128 + [0, tail(N)].
 
 xi() is the production route: C, rho and the CLI read it.  Walkup's
 formula k*T(k) = sum_{d | k} binomial(2d-1, d) * phi(k/d), with
@@ -119,29 +120,25 @@ class BoundedReal:
         return BoundedReal(value, (math.floor(radius / Fraction(ulp)) + 2) * ulp)
 
 
-def series_tail_bound(terms: int) -> float:
-    """Rigorous bound on the tree series tail after the given many terms."""
-    check_size("terms", terms, 1)
-    return 2.0 / (3.0 * math.sqrt(math.pi)) * terms**-1.5
-
-
 # the definition, kept as the oracle for xi(); typed, so that True is not
 # served the cached entry for 1
 @lru_cache(maxsize=8, typed=True)
 def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
     """Partial sum of sum_k T(k) / (k * 4^k) with a rigorous bound.
 
-    Sums the exact floors of T(k) 2^128 / (k 4^k), each short by less
-    than 2^-128, and divides by 2^128 once, rounding once: the value is
-    within one ulp of the partial sum (module docstring), and the error
-    bound is the series tail plus that ulp.  terms is capped at
-    trees.TREE_TABLE_CAP.
+    The integer floors of T(k) 2^128 / (k 4^k) sum to S, so the partial
+    sum lies in [S, S + terms) / 2^128 (module docstring).  That interval
+    is widened by the rational tail bound on both sides, not only above,
+    so that the value stays at the partial sum and does not move up by
+    half the tail.  terms is capped at trees.TREE_TABLE_CAP.
     """
     check_size("terms", terms, 1, TREE_TABLE_CAP)
     trees = plane_tree_counts(terms)
     total = sum((trees[k] << 128 >> 2 * k) // k for k in range(1, terms + 1))
-    value = total / (1 << 128)
-    return BoundedReal(value, series_tail_bound(terms) + math.ulp(value))
+    tail = Fraction(5000, 13293 * math.isqrt(terms**3))
+    return BoundedReal.from_fractions(
+        Fraction(total, 1 << 128) - tail, Fraction(total + terms, 1 << 128) + tail
+    )
 
 
 def _ln2() -> tuple[Fraction, Fraction]:

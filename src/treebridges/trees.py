@@ -78,9 +78,9 @@ def plane_tree_count(n: int) -> int:
 
     Walkup's formula T(n) = (1/n) * sum over d | n of
     binomial(2d-1, d) * phi(n/d) is the divisor sum of M(n, n) with
-    d -> n/d, so one value costs one divisor sum and no table.
+    d -> n/d, so one value costs one divisor sum and no table;
+    zero_sum_multisets checks n, with the cap TREE_TABLE_CAP.
     """
-    check_size("n", n, 1, TREE_TABLE_CAP)
     return zero_sum_multisets(n, n)
 
 
@@ -94,7 +94,7 @@ def zero_sum_multisets(n: int, k: int) -> int:
     check_size("n", n, 1, TREE_TABLE_CAP)
     check_size("k", k, 0, TREE_TABLE_CAP)
     total = 0
-    for d in divisors(math.gcd(k, n) if k else n):
+    for d in divisors(math.gcd(k, n)):
         total += math.comb((n + k) // d - 1, k // d) * euler_phi(d)
     assert total % n == 0
     return total // n
@@ -165,7 +165,7 @@ def count_paths_by_final_step(n: int) -> tuple[int, int]:
             row = col[y]
             shift = y % n
             # Right step into this column at height y: residue r -> r + y
-            nxt.append(row[-shift:] + row[:-shift] if shift else row[:])
+            nxt.append(row[-shift:] + row[:-shift])
         # read in the last column: the final Right step lands at height n
         ending_right = nxt[n][0]
         for y in range(1, n + 1):

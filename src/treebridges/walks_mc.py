@@ -181,21 +181,14 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     return zero, negative, y.size
 
 
-def _run_shares(samples: int, shares: int, horizon: int, seed: int, ws: range):
-    """Sum _run_worker's (zero, negative, capped) over the shares ws of
-    samples split into shares near-equal parts; share w runs on the
-    substream spawned from (seed, w)."""
+def _run_share(samples: int, shares: int, horizon: int, seed: int, w: int):
+    """_run_worker's (zero, negative, capped) for share w of samples
+    split into shares near-equal parts, on the substream spawned from
+    (seed, w)."""
     import numpy as np
 
-    base, extra = divmod(samples, shares)
-    zero = negative = capped = 0
-    for w in ws:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
-        z, ng, cp = _run_worker(base + (1 if w < extra else 0), horizon, ss)
-        zero += z
-        negative += ng
-        capped += cp
-    return zero, negative, capped
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
+    return _run_worker(samples // shares + (w < samples % shares), horizon, ss)
 
 
 def estimate_zero_area_prob(
@@ -228,21 +221,18 @@ def estimate_zero_area_prob(
 
         if "fork" not in multiprocessing.get_all_start_methods():
             procs = 1
-    run = functools.partial(_run_shares, samples, shares, horizon, seed)
+    run = functools.partial(_run_share, samples, shares, horizon, seed)
     if procs == 1:
-        counts = [run(range(shares))]
+        counts = list(map(run, range(shares)))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # loaded before the fork, so the children do not each load it
         import numpy  # noqa: F401
 
-        # process p runs every procs-th share from p, so each process gets
-        # a near-equal number of near-equal shares
-        parts = [range(p, shares, procs) for p in range(procs)]
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(procs, mp_context=ctx) as pool:
-            counts = list(pool.map(run, parts))
+            counts = list(pool.map(run, range(shares), chunksize=-(-shares // procs)))
     zero, negative, capped = map(sum, zip(*counts))
     stopped = zero + negative
     if stopped:

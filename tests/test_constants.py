@@ -50,13 +50,6 @@ def test_tail_bound_premise():
         assert k * table[k] <= 2 * math.comb(2 * k - 1, k)
 
 
-def test_series_tail_bound_decreasing():
-    bounds = [constants.series_tail_bound(t) for t in (10, 100, 1000, 10000)]
-    assert bounds == sorted(bounds, reverse=True)
-    with pytest.raises(ValueError):
-        constants.series_tail_bound(0)
-
-
 def test_tree_series_brackets_reference():
     xi = constants.tree_series()
     assert abs(xi.value - XI_REF) <= xi.error_bound + REF_SLOP
@@ -70,7 +63,7 @@ def test_tree_series_within_one_ulp_of_the_exact_partial_sum():
         partial += Fraction(table[terms], terms * 4**terms)
         xi = constants.tree_series(terms)
         assert Fraction(xi.low) <= partial <= Fraction(xi.high), terms
-        assert xi.error_bound == constants.series_tail_bound(terms) + math.ulp(xi.value)
+        assert Fraction(xi.high) - partial >= Fraction(5000, 13293 * math.isqrt(terms**3))
 
 
 def test_tree_series_nested_intervals():
@@ -172,12 +165,22 @@ def test_gamma_prefactor():
 
 
 def test_prefactor_and_growth_constant_read_no_float_pi(monkeypatch):
-    # both divide by Machin's pi, so a wrong math.pi cannot move them
+    # the two divide by Machin's pi and the tree series bounds its tail by
+    # a rational, so a wrong math.pi cannot move any of them
+    calls = (
+        constants.gamma_prefactor,
+        constants.count_growth_constant,
+        lambda: constants.tree_series(100),
+    )
+    constants.tree_series.cache_clear()
+    want = [f() for f in calls]
+    constants.tree_series.cache_clear()
     monkeypatch.setattr(math, "pi", 3.0)
-    for got, ref in (
-        (constants.gamma_prefactor(), PREFACTOR_REF),
-        (constants.count_growth_constant(), C_REF),
-    ):
+    try:
+        assert [f() for f in calls] == want
+    finally:
+        constants.tree_series.cache_clear()
+    for got, ref in zip(want, (PREFACTOR_REF, C_REF)):
         assert abs(got.value - ref) <= got.error_bound + REF_SLOP
 
 

@@ -93,7 +93,6 @@ BOUNDARY = {
     # by keyword: an untyped cache serves n=True or terms=True the entry for 1
     "euler_phi": (lambda v: euler_phi(n=v), "n", 1, TRIAL_DIVISION_CAP),
     "divisors": (divisors, "n", 1, TRIAL_DIVISION_CAP),
-    "series_tail_bound": (constants.series_tail_bound, "terms", 1, None),
     "tree_series": (
         lambda v: constants.tree_series(terms=v), "terms", 1, trees.TREE_TABLE_CAP,
     ),
