@@ -50,6 +50,19 @@ def test_tail_bound_premise():
         assert k * table[k] <= 2 * math.comb(2 * k - 1, k)
 
 
+def test_rational_tail_bound_covers_the_proved_tail():
+    # tree_series widens by 5000 / (13293 isqrt(N^3)); against Machin's
+    # lower pi it is at least (2 / (3 sqrt(pi))) N^(-3/2), and it falls in N
+    pi_lo = constants._pi()[0]
+    assert pi_lo > Fraction(17724, 10_000) ** 2
+    tails = []
+    for n in (*range(1, 200), 10_000, trees.TREE_TABLE_CAP):
+        tail = Fraction(5000, 13293 * math.isqrt(n**3))
+        assert tail**2 * 9 * pi_lo * n**3 >= 4, n
+        tails.append(tail)
+    assert tails == sorted(tails, reverse=True)
+
+
 def test_tree_series_brackets_reference():
     xi = constants.tree_series()
     assert abs(xi.value - XI_REF) <= xi.error_bound + REF_SLOP

@@ -237,6 +237,26 @@ def test_estimate_workers_past_samples_makes_one_share_per_walk():
     assert walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10**12) == want
 
 
+def test_shares_split_the_samples_into_near_equal_parts(monkeypatch):
+    # share w runs samples // shares walks, one more for each of the first
+    # samples % shares shares, on the substream spawned from (seed, w)
+    ran = []
+
+    def worker(samples, horizon, ss):
+        ran.append((samples, horizon, ss.entropy, ss.spawn_key))
+        return samples, 0, 0
+
+    monkeypatch.setattr(walks_mc, "_run_worker", worker)
+    for samples, shares in ((1, 1), (10, 3), (7, 7), (1000, 6)):
+        ran.clear()
+        counts = [walks_mc._run_share(samples, shares, 40, 9, w) for w in range(shares)]
+        sizes = [n for n, *_ in ran]
+        assert sum(sizes) == samples and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        assert [r[1:] for r in ran] == [(40, 9, (w,)) for w in range(shares)]
+        assert counts == [(n, 0, 0) for n in sizes]
+
+
 def test_pooled_shares_give_the_in_process_counts(monkeypatch):
     # two shares of 10,000 walks on substreams (1, 0) and (1, 1): forked
     # processes where the host has two CPUs, this process where it has one
