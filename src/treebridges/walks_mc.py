@@ -15,7 +15,11 @@ min(workers, shares, CPU count) forked processes.  Each reads its own
 int8 block of at most 4 MB of draws in cache-sized tiles: a share of
 250,000 walks peaks near 10 MiB of numpy memory (tracemalloc, horizon
 16), and a process near 47 MB resident, most of it numpy itself
-(Python 3.11, numpy 2.4, x86-64).
+(Python 3.11, numpy 2.4, x86-64).  A tile is read in two levels: exact
+sums over sub-blocks of 32 steps give the state at every sub-block
+boundary, and only the sub-blocks that a certificate on those states
+cannot rule out are stepped through one step at a time (proof in
+_scan_block).
 
 The sampler draws backward from the forward layers of
 bridges.bridge_layers, the same kernel graphical_bridge_counts reads.
@@ -44,8 +48,11 @@ SAMPLING_CAP = 100
 # every count depends on it, while the tiles below bound the memory
 _BLOCK_BUDGET = 4_000_000
 # elements per tile of the block scan: its two int64 running sums take
-# 1 MiB
+# 1 MiB where a tile is stepped through whole
 _TILE = 1 << 16
+# steps per sub-block of the two-level tile scan in _scan_block, the
+# fastest of 8, 16, 32 and 64
+_SUB = 32
 # the increment of each of the four equally likely draws
 _STEPS = (1, -1, 0, 0)
 
@@ -99,14 +106,80 @@ def simulate_stopped_walk(seed: int, horizon: int) -> WalkOutcome:
     return stop_time_outcome(stream(), horizon)
 
 
-def _increments(u):
-    """The int64 increments _STEPS[u] of an int8 array u of draws, read
-    with two int8 compares in place of an int64 gather."""
+def _increments(u, dtype="int64"):
+    """The increments _STEPS[u] of an int8 array u of draws, int64
+    unless dtype says otherwise, read with two int8 compares in place of
+    an int64 gather."""
     import numpy as np
 
     up = (u == _STEPS.index(1)).view(np.int8)
     up -= (u == _STEPS.index(-1)).view(np.int8)
-    return up.astype(np.int64)
+    return up.astype(dtype, copy=False)
+
+
+def _step_scan(d, y, area):
+    """Step the rows of the increments d (int8, or float32 holding
+    integers) from the states (y, area); returns (hit, stop_area, y_end,
+    area_end): which rows stop, the area of each stopping row's first
+    stop in row order, and every row's state after the last column."""
+    import numpy as np
+
+    ypath = d.astype(np.int64)
+    ypath[:, 0] += y
+    np.cumsum(ypath, axis=1, out=ypath)
+    apath = np.cumsum(ypath, axis=1)
+    apath += area[:, None]
+    stop = (ypath == 0) & (apath <= 0)
+    first = stop.argmax(axis=1)
+    hit = stop[np.arange(first.size), first]
+    return hit, apath[hit, first[hit]], ypath[:, -1], apath[:, -1]
+
+
+def _may_stop(y_start, y_end, a_start):
+    """Which sub-blocks of at most _SUB steps, from the states (y_start,
+    a_start) to the height y_end, can hold a stop; the certificate is
+    proved in _scan_block's docstring."""
+    import numpy as np
+
+    maybe = np.abs(y_start) + np.abs(y_end) <= _SUB
+    maybe &= a_start <= _SUB * (_SUB - 1) // 2
+    return maybe
+
+
+def _sub_block_scan(d, y, area):
+    """_step_scan's result for int8 increments d at least _SUB columns
+    wide, stepping only through the sub-blocks where a stop can fall
+    (see _scan_block)."""
+    import numpy as np
+
+    rows, cols = d.shape
+    pad = -cols % _SUB
+    f = np.zeros((rows, cols + pad), dtype=np.float32)
+    f[:, :cols] = d
+    f = f.reshape(-1, _SUB)
+    weights = np.ones((_SUB, 2), dtype=np.float32)
+    weights[:, 1] = np.arange(_SUB, 0, -1)
+    sums = (f @ weights).astype(np.int64).reshape(rows, -1, 2)
+    y_end = np.cumsum(sums[..., 0], axis=1)
+    y_end += y[:, None]
+    y_start = y_end - sums[..., 0]
+    # the area each sub-block adds
+    rise = sums[..., 1] + _SUB * y_start
+    a_end = np.cumsum(rise, axis=1)
+    a_end += area[:, None]
+    a_start = a_end - rise
+    # the candidates' flat indices run in row order, then in column
+    # order, so each stopping row's first stop comes first
+    at = _may_stop(y_start, y_end, a_start).ravel().nonzero()[0]
+    stops, stop_area, _, _ = _step_scan(f[at], y_start.ravel()[at], a_start.ravel()[at])
+    r = at[stops] // sums.shape[1]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = r[1:] != r[:-1]
+    hit = np.zeros(rows, dtype=bool)
+    hit[r[first]] = True
+    y_end = y_end[:, -1]
+    # the padding added pad * y_end to the last area
+    return hit, stop_area[first], y_end, a_end[:, -1] - pad * y_end
 
 
 def _scan_block(u, y, area) -> tuple[int, int, int]:
@@ -120,6 +193,38 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     lone row is read in several, and the chunks after the one it stops
     in are never read.  The states of the alive rows, in row order, are
     written to the front of y and area.
+
+    A tile is read in two levels by _sub_block_scan.  Its increments are
+    cut into sub-blocks of B = _SUB steps, the last one padded with zero
+    steps, and one float32 matmul against the (B, 2) matrix
+    [1, ..., 1; B, B - 1, ..., 1] gives each sub-block's height change
+    s = sum_j d_j and area term L = sum_j (B - j) d_j, for j = 0..B-1.
+    Both are exact: every partial sum is an integer of size at most
+    B (B + 1) / 2 = 528 < 2^24, which float32 holds exactly in any
+    order of summation.  Two int64 running sums over the sub-blocks,
+    1/B of the elements, then give the exact state at every boundary:
+    y_e = y_s + s and A_e = A_s + B y_s + L, since the height after m
+    steps is y_s plus the d_j with j < m.
+
+    The certificate: a stop at step i of a sub-block has y_i = 0.
+    Heights move by at most 1 per step, so |y_s| <= i and
+    |y_e| <= B - i, that is |y_s| + |y_e| <= B.  The heights before it
+    are y_m >= -(i - m), so 0 >= A_i = A_s + sum_{m <= i} y_m >=
+    A_s - i (i - 1) / 2, that is A_s <= i (i - 1) / 2 <= B (B - 1) / 2.
+    A sub-block that fails either test (_may_stop) holds no stop.  Only
+    the candidates that pass both are stepped through by _step_scan, and
+    a row's first stopping candidate decides its outcome.  Both bounds
+    are tight: from y_s = -B and A_s = B (B - 1) / 2, B up-steps stop
+    at area 0, and from one more area they do not stop.  The zero steps
+    of the padding keep the last height, so a stop among them repeats a
+    stop at the last real step, which comes first; the padded sub-block
+    passes the tests whenever its real steps hold a stop.
+
+    A share's first block starts every walker at (0, 0), where the
+    candidates are dense and half the walkers stop at their first step,
+    so a tile whose walkers all start there is stepped through whole, as
+    is a tile narrower than one sub-block.  No alive walker is at
+    (0, 0) after a step, since that state is a stop.
     """
     import numpy as np
 
@@ -131,19 +236,14 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
         yg = y[g0 : g0 + group]
         ag = area[g0 : g0 + group]
         for c0 in range(0, width, chunk):
-            ypath = _increments(u[g0 : g0 + group, c0 : c0 + chunk])
-            ypath[:, 0] += yg
-            np.cumsum(ypath, axis=1, out=ypath)
-            apath = np.cumsum(ypath, axis=1)
-            apath += ag[:, None]
-            stop = (ypath == 0) & (apath <= 0)
-            first = stop.argmax(axis=1)
-            hit = stop[np.arange(first.size), first]
-            stop_area = apath[hit, first[hit]]
+            d = _increments(u[g0 : g0 + group, c0 : c0 + chunk], "int8")
+            at_origin = not (yg.any() or ag.any())
+            scan = _step_scan if at_origin or d.shape[1] < _SUB else _sub_block_scan
+            hit, stop_area, y_end, a_end = scan(d, yg, ag)
             zero += int(np.count_nonzero(stop_area == 0))
             negative += int(np.count_nonzero(stop_area < 0))
-            yg = ypath[~hit, -1]
-            ag = apath[~hit, -1]
+            yg = y_end[~hit]
+            ag = a_end[~hit]
             if not yg.size:
                 break
         # the survivors go to the front: alive never passes g0, and this
@@ -205,9 +305,13 @@ def estimate_zero_area_prob(
     from this one, each holding its own int8 block of at most 4 MB and
     peaking near 10 MiB of numpy memory; the counts are integer sums, so
     they do not depend on procs.  With one process, or where the fork
-    start method does not exist, the shares run in this process.  A failing worker raises here.  Python 3.12+
-    may warn that forking a process with threads can deadlock: numpy's
-    idle OpenBLAS threads exist, but the children call no BLAS.
+    start method does not exist, the shares run in this process.  A
+    failing worker raises here.  Python 3.12+ may warn that forking a
+    process with threads can deadlock: numpy's idle OpenBLAS threads
+    exist.  The children's only BLAS call is the sub-block matmul of
+    _scan_block, at most 4,096 x 32 by 32 x 2, which OpenBLAS runs on
+    the calling thread, below its size for starting threads (measured:
+    its threads gain no CPU time at 8,192 rows, OpenBLAS 0.3.31).
     """
     check_size("samples", samples, 1)
     check_size("horizon", horizon, 1)

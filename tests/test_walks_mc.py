@@ -219,6 +219,149 @@ def test_run_worker_stream_is_pinned(samples, horizon, seed, counts):
     assert walks_mc._run_worker(samples, horizon, ss) == counts
 
 
+B = walks_mc._SUB
+# the largest start area from which a sub-block can hold a stop
+EDGE_AREA = B * (B - 1) // 2
+UP, LAZY = (walks_mc._STEPS.index(v) for v in (1, 0))
+
+
+def _step_reference(u, y, area):
+    # each row walked step by step in Python from its (height, area):
+    # (zero, negative, the alive rows' states in row order)
+    zero = negative = 0
+    alive = []
+    for row, h, a in zip(u.tolist(), list(y), list(area)):
+        h, a = int(h), int(a)
+        for v in row:
+            h += walks_mc._STEPS[v]
+            a += h
+            if h == 0 and a <= 0:
+                zero += a == 0
+                negative += a < 0
+                break
+        else:
+            alive.append((h, a))
+    return zero, negative, alive
+
+
+def _assert_scan_is_the_reference(u, y, area):
+    zero, negative, alive = _step_reference(u, y, area)
+    y = np.array(y, dtype=np.int64)
+    area = np.array(area, dtype=np.int64)
+    assert walks_mc._scan_block(u, y, area) == (zero, negative, len(alive))
+    assert list(zip(y[: len(alive)].tolist(), area[: len(alive)].tolist())) == alive
+    return zero + negative
+
+
+def _near_edge_states(rng, rows):
+    # around the certificate's edges, and every other row near the origin
+    y = rng.integers(-B - 3, B + 4, size=rows)
+    area = rng.integers(-40, EDGE_AREA + 40, size=rows)
+    y[::2] = rng.integers(-3, 4, size=y[::2].size)
+    area[::2] = rng.integers(-20, 21, size=y[::2].size)
+    return y, area
+
+
+@pytest.mark.parametrize("width", range(1, 3 * B + 2))
+def test_two_level_scan_is_the_step_reference_at_every_width(width, monkeypatch):
+    # start states around the certificate's edges, where stops fall in
+    # and next to the candidate sub-blocks; tiles of at least B columns
+    # are read in two levels, narrower ones step by step
+    calls = []
+    sub_block_scan = walks_mc._sub_block_scan
+    monkeypatch.setattr(
+        walks_mc, "_sub_block_scan", lambda *a: calls.append(1) or sub_block_scan(*a)
+    )
+    rng = np.random.default_rng(width)
+    stopped = 0
+    for _ in range(4):
+        u = rng.integers(0, 4, size=(60, width), dtype=np.int8)
+        stopped += _assert_scan_is_the_reference(u, *_near_edge_states(rng, 60))
+    assert stopped
+    assert bool(calls) == (width >= B)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lone_rows_wider_than_a_tile_are_the_step_reference(seed):
+    # a lazy first chunk below height 0 cannot stop and drives the area
+    # far below 0, so the row stops or not in a later chunk, read in two
+    # levels from the state carried across
+    rng = np.random.default_rng(seed)
+    width = 2 * walks_mc._TILE + 17
+    u = rng.integers(0, 4, size=(1, width), dtype=np.int8)
+    u[0, : walks_mc._TILE] = LAZY
+    _assert_scan_is_the_reference(u, [-1 - seed], [5000])
+    for _ in range(3):
+        u = rng.integers(0, 4, size=(1, width), dtype=np.int8)
+        _assert_scan_is_the_reference(u, *_near_edge_states(rng, 1))
+
+
+def test_scan_at_the_certificate_edges():
+    # the first sub-block of each row is crafted: from y_s = -B, B - k
+    # up-steps then k lazy steps give |y_s| + |y_e| = B + k, and the
+    # start area is on the area bound or one past it
+    rng = np.random.default_rng(7)
+    edges = (EDGE_AREA, EDGE_AREA + 1)
+    rows = [(k, a, s) for k in (0, 1, 2) for a in edges for s in (-1, 1)]
+    u = rng.integers(0, 4, size=(len(rows), 3 * B + 5), dtype=np.int8)
+    for i, (k, _, _) in enumerate(rows):
+        u[i, : B - k] = UP
+        u[i, B - k : B] = LAZY
+    y = [s * B for _, _, s in rows]
+    area = [a for _, a, _ in rows]
+    assert _assert_scan_is_the_reference(u, y, area)
+    # the same heights one step further out
+    y = [s * (B + 1) for _, _, s in rows]
+    _assert_scan_is_the_reference(u, y, area)
+
+
+def test_scan_from_huge_states():
+    # heights near 1e6 and areas near 1e12 are far past what float32
+    # holds exactly; only the sub-block sums go through it
+    rng = np.random.default_rng(3)
+    u = rng.integers(0, 4, size=(8, 5 * B + 3), dtype=np.int8)
+    big = 10**12
+    y = [10**6, -(10**6), 10**6 + 1, -(10**6) + 7, 2, -3, 1, -1]
+    area = [big, big, -big, -big, -big, -big - 1, big, big + 3]
+    assert _assert_scan_is_the_reference(u, y, area)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_tight_certificate_case(rows):
+    # from y_s = -B and A_s = B (B - 1) / 2, B up-steps add
+    # -B (B - 1) / 2 to the area and stop at area 0 at the last step;
+    # from one more area they end at (0, 1), which is no stop
+    u = np.full((rows, B), UP, dtype=np.int8)
+    y = np.full(rows, -B, dtype=np.int64)
+    area = np.full(rows, EDGE_AREA, dtype=np.int64)
+    assert walks_mc._scan_block(u, y, area) == (rows, 0, 0)
+    y = np.full(rows, -B, dtype=np.int64)
+    area = np.full(rows, EDGE_AREA + 1, dtype=np.int64)
+    assert walks_mc._scan_block(u, y, area) == (0, 0, rows)
+    assert set(y.tolist()) == {0} and set(area.tolist()) == {1}
+    edges = np.array([EDGE_AREA, EDGE_AREA + 1])
+    maybe = walks_mc._may_stop(np.full(2, -B), np.zeros(2), edges)
+    assert maybe.tolist() == [True, False]
+
+
+def test_certificate_has_no_false_negatives():
+    # random sub-blocks, biased toward up-runs by a per-row share, from
+    # states around the edges: every one in which the per-step scan
+    # finds a stop passes the certificate
+    rng = np.random.default_rng(11)
+    n = 50_000
+    u = rng.integers(0, 4, size=(n, B), dtype=np.int8)
+    u[rng.random((n, B)) < rng.random((n, 1))] = UP
+    d = walks_mc._increments(u, "int8")
+    y, area = _near_edge_states(rng, n)
+    hit, _, y_end, _ = walks_mc._step_scan(d, y, area)
+    maybe = walks_mc._may_stop(y, y_end, area)
+    assert maybe[hit].all()
+    # neither side is empty, so the check has teeth
+    assert hit.sum() > 1000
+    assert (~maybe).sum() > 1000
+
+
 def test_estimate_deterministic_and_worker_stable():
     a = walks_mc.estimate_zero_area_prob(2000, 3000, seed=9)
     b = walks_mc.estimate_zero_area_prob(2000, 3000, seed=9)
