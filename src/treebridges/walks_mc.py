@@ -11,7 +11,10 @@ time, and at horizon 10^6 roughly 1.8 percent of runs are still going,
 which is why estimates carry the capped fraction alongside the
 standard error.  The walks are split into shares, each on its own
 substream, and the shares run concurrently on at most
-min(workers, shares, CPU count) forked processes.  Each reads its own
+min(workers, shares, CPU count) forked processes.  A share reads its
+draws from its PCG64's raw 64-bit words, one byte per draw: the stream
+is exactly the one numpy's Generator.integers makes for int8 draws in
+[0, 4), at under half its cost (_draw).  Each share reads its own
 int8 block of at most 4 MB of draws in cache-sized tiles: a share of
 250,000 walks peaks near 10 MiB of numpy memory (tracemalloc, horizon
 16), and a process near 47 MB resident, most of it numpy itself
@@ -53,6 +56,8 @@ _TILE = 1 << 16
 # steps per sub-block of the two-level tile scan in _scan_block, the
 # fastest of 8, 16, 32 and 64
 _SUB = 32
+# raw 64-bit words read per chunk by _draw, 256 KiB
+_RAW_WORDS = 1 << 15
 # the increment of each of the four equally likely draws
 _STEPS = (1, -1, 0, 0)
 
@@ -67,8 +72,10 @@ class WalkOutcome(enum.Enum):
 class McEstimate:
     """Monte Carlo result: the estimate is the fraction of area-zero
     stops among non-capped runs; capped runs are excluded from the
-    denominator but reported, since they bias the estimate by at most
-    their own fraction."""
+    denominator but reported.  Nearly all of them would later stop at a
+    negative area, so with c the capped fraction the estimate sits
+    above the true probability rho by close to rho c / (1 - c), about
+    half of c."""
 
     estimate: float
     samples: int
@@ -106,15 +113,59 @@ def simulate_stopped_walk(seed: int, horizon: int) -> WalkOutcome:
     return stop_time_outcome(stream(), horizon)
 
 
-def _increments(u, dtype="int64"):
-    """The increments _STEPS[u] of an int8 array u of draws, int64
-    unless dtype says otherwise, read with two int8 compares in place of
-    an int64 gather."""
+def _increments(u):
+    """The int8 increments _STEPS[u] of an int8 array u of draws, read
+    with two compares in place of a gather."""
     import numpy as np
 
     up = (u == _STEPS.index(1)).view(np.int8)
     up -= (u == _STEPS.index(-1)).view(np.int8)
-    return up.astype(dtype, copy=False)
+    return up
+
+
+def _draw(bit_gen, out):
+    """Fill the C-contiguous int8 array out with the draws that
+    Generator(bit_gen).integers makes for low 0, high 4, size out.shape
+    and dtype int8, and leave bit_gen in the state that call leaves.
+
+    For a range of 4, numpy's bounded int8 draw is Lemire's method on
+    buffered bytes, with rejection threshold (255 - 3) % 4 = 0, so it
+    never rejects: each draw is (4 byte) >> 8 = byte >> 6 of one byte.  One call reads ceil(n / 4) 32-bit
+    halves, each low byte first, and each new 64-bit word gives its low
+    half first, so the bytes of the raw words in little-endian order are
+    the draws' bytes.  A call starts with the high half that the last
+    one left unused (PCG64's has_uint32), and one that ends on a low
+    half leaves the high half for the next.  The words are read in
+    chunks of _RAW_WORDS and shifted straight into out.
+    """
+    import numpy as np
+
+    flat = out.reshape(-1).view(np.uint8)
+    n = flat.size
+    if not n:
+        return out
+    state = bit_gen.state
+    pos = 0
+    if state["has_uint32"]:
+        pos = min(4, n)
+        half = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        np.right_shift(half[:pos], 6, out=flat[:pos])
+    left = n - pos
+    words = -(-left // 8)
+    for start in range(0, words, _RAW_WORDS):
+        raw = bit_gen.random_raw(min(_RAW_WORDS, words - start))
+        raw = raw.astype("<u8", copy=False).view(np.uint8)
+        end = min(pos + raw.size, n)
+        np.right_shift(raw[: end - pos], 6, out=flat[pos:end])
+        pos = end
+    # random_raw leaves has_uint32 alone, so set it as the buffered
+    # draw would: numpy keeps the last new word's high half either way
+    state = bit_gen.state
+    state["has_uint32"] = int(0 < left % 8 <= 4)
+    if words:
+        state["uinteger"] = int(raw.view("<u4")[-1])
+    bit_gen.state = state
+    return out
 
 
 def _step_scan(d, y, area):
@@ -236,7 +287,7 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
         yg = y[g0 : g0 + group]
         ag = area[g0 : g0 + group]
         for c0 in range(0, width, chunk):
-            d = _increments(u[g0 : g0 + group, c0 : c0 + chunk], "int8")
+            d = _increments(u[g0 : g0 + group, c0 : c0 + chunk])
             at_origin = not (yg.any() or ag.any())
             scan = _step_scan if at_origin or d.shape[1] < _SUB else _sub_block_scan
             hit, stop_area, y_end, a_end = scan(d, yg, ag)
@@ -260,18 +311,21 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     Same increment law as simulate_stopped_walk (a uniform draw from
     four values: one maps to +1, one to -1, two to 0), drawn in int8
     blocks whose width adapts so alive * width stays within budget, and
-    read by _scan_block.
+    read by _scan_block.  _draw fills each block from the raw words of
+    a PCG64 on seed_seq: block by block, the draws that
+    Generator(PCG64(seed_seq)).integers would give for int8 draws in
+    [0, 4) of shape (alive, width).
     """
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    bit_gen = np.random.PCG64(seed_seq)
     y = np.zeros(samples, dtype=np.int64)
     area = np.zeros(samples, dtype=np.int64)
     zero = negative = 0
     done = 0
     while y.size and done < horizon:
         width = min(max(16, _BLOCK_BUDGET // y.size), horizon - done)
-        u = rng.integers(0, 4, size=(y.size, width), dtype=np.int8)
+        u = _draw(bit_gen, np.empty((y.size, width), dtype=np.int8))
         z, ng, alive = _scan_block(u, y, area)
         zero += z
         negative += ng
@@ -295,6 +349,11 @@ def estimate_zero_area_prob(
     samples: int, horizon: int, seed: int, workers: int = 1
 ) -> McEstimate:
     """Estimate the zero-area stopping probability.
+
+    The estimate leaves the capped runs out, and nearly all of them
+    would stop at a negative area later, so it is biased upward by
+    close to rho c / (1 - c) for the capped fraction c (see McEstimate),
+    which falls only like horizon^(-1/4).
 
     Deterministic for fixed (samples, horizon, seed, workers): the
     samples are split into min(samples, max(workers, ceil(16 samples /

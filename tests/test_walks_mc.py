@@ -148,8 +148,34 @@ def _whole_block_run_worker(samples, horizon, seed_seq):
 def test_increment_map_is_the_step_table():
     u = np.arange(4, dtype=np.int8)
     inc = walks_mc._increments(u)
-    assert inc.dtype == np.int64
+    assert inc.dtype == np.int8
     assert tuple(inc.tolist()) == walks_mc._STEPS
+
+
+# sizes for the draw test, in call order: n mod 8 = 0, 5, 6, 7, 1, 2, 3
+# and 4 from a fresh word, each of 1, 2 and 3 right after a call that
+# left a high half unused, 12 after one (the carried half, then one whole
+# word), one size past a chunk of raw words, and blocks of the shapes
+# _run_worker asks for, with and without a carried half
+_DRAW_SIZES = (
+    8, 5, 6, 7, 1, 1, 2, 2, 3, 3, 4, 12,
+    8 * walks_mc._RAW_WORDS + 1, 3, 8 * walks_mc._RAW_WORDS + 4, 1,
+    (3000, 16), (1545, 2589), (7, 571_428), (250_000, 16), (1, 3),
+)
+
+
+def test_draw_is_generator_integers_call_by_call():
+    ss = np.random.SeedSequence(entropy=21, spawn_key=(0,))
+    want = np.random.Generator(np.random.PCG64(ss))
+    bit_gen = np.random.PCG64(ss)
+    for size in _DRAW_SIZES:
+        expected = want.integers(0, 4, size=size, dtype=np.int8)
+        got = walks_mc._draw(bit_gen, np.empty(size, dtype=np.int8))
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected), size
+        # the carried high half too, so the next call starts where
+        # numpy's would
+        assert bit_gen.state == want.bit_generator.state, size
 
 
 @pytest.mark.parametrize(
@@ -352,7 +378,7 @@ def test_certificate_has_no_false_negatives():
     n = 50_000
     u = rng.integers(0, 4, size=(n, B), dtype=np.int8)
     u[rng.random((n, B)) < rng.random((n, 1))] = UP
-    d = walks_mc._increments(u, "int8")
+    d = walks_mc._increments(u)
     y, area = _near_edge_states(rng, n)
     hit, _, y_end, _ = walks_mc._step_scan(d, y, area)
     maybe = walks_mc._may_stop(y, y_end, area)
