@@ -20,11 +20,23 @@ check that rejects odd lengths, increments other than the ints +-1
 and, for a bridge, a nonzero sum.
 
 Graphical bridges are counted by one forward DP over (height, area)
-after each pair of increments, bridge_layers.  It is pruned to states
+after each pair of increments, _packed_layers.  It is pruned to states
 whose area can still return to 0, by a closed form for the least area
-that the remaining pairs add (see bridge_layers).  It serves both
-graphical_bridge_counts and the exact sampler in walks_mc, which draws
-backward from its layers.
+that the remaining pairs add (see _packed_layers).  It serves
+graphical_bridge_counts, which reads its (0, 0) counts, and, through
+the dict layers of bridge_layers, the exact sampler in walks_mc, which
+draws backward from them.
+
+The bridge DP and the two residue DPs (count_bridges_area_divisible
+here, count_paths_by_final_step in trees) pack each vector of counts
+into one int: field i, field_width(n) bits from bit i * field_width(n),
+holds the count at area i, or at area residue i mod n.  A DP step is
+then a few shifts, adds and masks on whole vectors.  No field carries
+into the next: every count the DPs form for walks of up to 2n steps,
+or for lattice paths to (n, n), counts a set of such walks or paths,
+so it is at most 4^n < 2^(2n+1), and field_width(n) is 2n + 1 bits
+rounded up to whole bytes.  Whole bytes let _unpack read the fields
+back in linear time, one byte slice each.
 
 The exhaustive oracle enumerate_graphical_bridges walks increment pairs
 depth first, keeping (pairs left, height, sigma), so every prefix is
@@ -64,13 +76,13 @@ _PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # keep, 0.02 s for the 5,440 graphical bridges at 10 (2-core x86-64,
 # Python 3.11)
 ENUMERATION_CAP = 10
-# the two residue DPs, count_bridges_area_divisible and the path DP in
-# trees: 0.10 s and 0.08 s at n = 100, 1.0 s and 0.8 s at 200, each within
-# 20 MB peak resident memory (2-core x86-64, Python 3.11)
+# the two packed residue DPs, count_bridges_area_divisible and the path
+# DP in trees: 0.03-0.05 s each at n = 100, 0.4-0.6 s each at 200,
+# within 20 MB peak resident memory (2-core x86-64, Python 3.11)
 RESIDUE_DP_CAP = 200
-# the pruned (height, area) DP behind graphical_bridge_counts: measured
-# 1.5 s / 36 MB at n = 100, 8 s / 47 MB at 150 and 25 s / 80 MB peak
-# resident memory at 200 on a 2-core x86-64 host with Python 3.11
+# the packed, pruned (height, area) DP behind graphical_bridge_counts:
+# measured 0.07 s / 16 MB at n = 100, 0.45 s at 150 and 1.8-2.1 s / 27 MB
+# peak resident memory at 200 on a 2-core x86-64 host with Python 3.11
 BRIDGE_DP_CAP = 200
 
 
@@ -211,64 +223,95 @@ def enumerate_graphical_bridges(n: int) -> Iterator[Walk]:
     yield from extend((), 0, 0, n)
 
 
-# two-step transition blocks for the DP over even times: a pair of
-# increments moves the height by +2, -2 or 0, and the mixed block (0)
-# stands for the two orderings (+1,-1), (-1,+1)
-_BLOCKS = ((2, 1), (-2, 1), (0, 2))
+def field_width(n: int) -> int:
+    """Bits per field of the packed DPs for walks of up to 2n steps or
+    paths to (n, n): whole bytes, at least 2n + 1 bits, so that a field
+    holds any count up to 4^n."""
+    return 8 * (n // 4 + 1)
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """The fields of packed, lowest first, in linear time: width is a
+    whole number of bytes, so each field is one slice of the bytes."""
+    size = width // 8
+    data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _packed_layers(n_max: int) -> Iterator[list]:
+    """The forward graphical-bridge DP, one packed int per half-height.
+
+    Yields n_max + 1 lists, indexed by half-height a = height/2 (Python's
+    negative indices hold the negative a).  Entry a of layer k packs the
+    counts by sigma, field sigma at bit sigma * field_width(n_max): the
+    number of walk prefixes of length 2k that reach (2a, sigma) with
+    every even-prefix area non-negative.  A block moves a by +1, -1 or
+    0 (the last in two ways), so the new entry a sums entries a - 1 and
+    a + 1 and twice entry a, then adds a to every sigma, a shift by a
+    fields; for a < 0 the right shift drops exactly the states whose
+    sigma would turn negative.
+
+    The prune drops a state when sigma plus the least area that the
+    remaining r = n_max - k blocks can add on the way back to height 0
+    is still positive: its area can never return to 0.  After j of its
+    r blocks a path from half-height a to 0 is at least max(a - j, j - r),
+    and the least area follows that floor: straight down to
+    b = (a + s - r)/2, s = (r - a) mod 2 blocks held at b, straight up.
+    It adds a-1, ..., b, then s*b, then b+1, ..., 0: a(a-1)/2 - b^2 + s*b
+    in all; no path closes from |a| > r.  Below height 0 the prune also
+    drops a state at half-height -(j+1) with sigma < j(j+1)/2: the climb
+    back passes half-heights -j, ..., -1 and would drive an even-prefix
+    area negative.  Both prunes keep a range of sigma, one mask.  A state
+    that can close is never dropped, nor is any state on a prefix
+    leading to it, so its count is the unpruned count.  The mixed block
+    holds (0, 0) fixed, so (0, 0) can close from every layer: the counts
+    for all lengths up to 2*n_max are exact, not only the last.
+
+    No field carries into the next: every field, and every field of the
+    sum before the shift, counts prefixes of 2k <= 2*n_max steps, so it
+    is at most 4^n_max < 2^field_width(n_max).  Callers validate n_max.
+    """
+    w = field_width(n_max)
+    vecs = [0] * (2 * n_max + 3)  # half-heights -n_max - 1, ..., n_max + 1
+    vecs[0] = 1
+    yield vecs
+    for r in reversed(range(n_max)):  # r blocks left after this one
+        top = min(n_max - r, r)  # reachable and still able to close
+        nxt = [0] * len(vecs)
+        for a in range(-top, top + 1):
+            v = vecs[a - 1] + (vecs[a] << 1) + vecs[a + 1]
+            s = (r - a) % 2
+            b = (a + s - r) // 2
+            room = b * b - s * b - a * (a - 1) // 2  # the largest sigma that can close
+            # the way back up from a < 0 first adds a+1, ..., -1
+            least = a * (a + 1) // 2 if a < 0 else 0
+            if v and room >= least:
+                # a sigma shift by a; for a < 0 it drops sigma < least
+                v = (v >> (least - a) * w) << least * w if a < 0 else v << a * w
+                nxt[a] = v & ((1 << (room + 1) * w) - 1)
+        vecs = nxt
+        yield vecs
 
 
 def bridge_layers(n_max: int) -> Iterator[dict]:
     """Forward layers of the graphical-bridge DP, pruned to states that
     can still close by block n_max.
 
-    Yields n_max + 1 dicts.  Layer k maps (height, sigma) after k blocks
-    to the number of walk prefixes of length 2k that reach it with every
+    Yields n_max + 1 dicts, the nonzero fields of _packed_layers (which
+    proves the prune).  Layer k maps (height, sigma) after k blocks to
+    the number of walk prefixes of length 2k that reach it with every
     even-prefix area non-negative; its (0, 0) entry is the number of
-    graphical bridges of length 2k.
-
-    The prune drops a state when sigma plus the least area that the
-    remaining r = n_max - k blocks can add on the way back to height 0
-    is still positive: its area can never return to 0.  A block moves
-    the half-height by +1, -1 or 0, then adds the new half-height to
-    sigma.  After j of its r blocks a path from half-height a to 0 is at
-    least max(a - j, j - r), and the least area follows that floor:
-    straight down to b = (a + s - r)/2, s = (r - a) mod 2 blocks held at
-    b, straight up.  It adds a-1, ..., b, then s*b, then b+1, ..., 0:
-    a(a-1)/2 - b^2 + s*b in all; no path closes from |a| > r.
-
-    Below height 0 the prune also drops a state at half-height -(j+1)
-    with sigma < j(j+1)/2: the climb back passes half-heights -j, ...,
-    -1 and would drive an even-prefix area negative.  A state that can
-    close is never dropped, nor is any state on a prefix leading to it,
-    so its count is the unpruned count.  The mixed block holds (0, 0)
-    fixed, so (0, 0) can close from every layer: the counts for all
-    lengths up to 2*n_max are exact, not only the last.  Callers
-    validate n_max.
+    graphical bridges of length 2k.  Callers validate n_max.
     """
-    states = {(0, 0): 1}
-    yield states
-    for r in reversed(range(n_max)):  # r blocks left after this one
-        # room[a + n_max]: the largest sigma at half-height a that can close, or -1
-        room = [-1] * (2 * n_max + 1)
-        for a in range(-r, r + 1):
-            s = (r - a) % 2
-            b = (a + s - r) // 2
-            room[a + n_max] = b * b - s * b - a * (a - 1) // 2
-        nxt: dict = {}
-        for (height, sigma), ways in states.items():
-            for dh, weight in _BLOCKS:
-                h2 = height + dh
-                half = h2 // 2
-                s2 = sigma + half
-                if s2 < 0 or s2 > room[half + n_max]:
-                    continue
-                # the way back up from half < 0 first adds half+1, ..., -1
-                if half < 0 and s2 < half * (half + 1) // 2:
-                    continue
-                key = (h2, s2)
-                nxt[key] = nxt.get(key, 0) + weight * ways
-        states = nxt
-        yield states
+    w = field_width(n_max)
+    for vecs in _packed_layers(n_max):
+        yield {
+            (2 * a, sigma): ways
+            for a in range(-n_max, n_max + 1)
+            if vecs[a]
+            for sigma, ways in enumerate(_unpack(vecs[a], w))
+            if ways
+        }
 
 
 # typed, so that True is not served the cached entry for 1
@@ -276,38 +319,45 @@ def bridge_layers(n_max: int) -> Iterator[dict]:
 def graphical_bridge_counts(n_max: int) -> tuple:
     """Counts of graphical bridges of lengths 0, 2, ..., 2*n_max.
 
-    Reads the (0, 0) entry of each layer of bridge_layers, holding one
-    layer at a time.  The production route for these counts is
-    series.bridge_counts_from_trees; this DP is its independent oracle.
+    Reads field 0 of the half-height 0 entry of each layer of
+    _packed_layers, holding one layer at a time.  The production route
+    for these counts is series.bridge_counts_from_trees; this DP is its
+    independent oracle.
     """
     check_size("n_max", n_max, 0, BRIDGE_DP_CAP)
-    return tuple(layer.get((0, 0), 0) for layer in bridge_layers(n_max))
+    low = (1 << field_width(n_max)) - 1
+    return tuple(vecs[0] & low for vecs in _packed_layers(n_max))
 
 
 def count_bridges_area_divisible(n: int) -> int:
     """Bridges of length 2n whose diamond area is divisible by n (DP).
 
-    One vector of counts by area mod n per half-height h: a block moves
+    One packed int per half-height h holds the counts by area mod n, n
+    fields of field_width(n) bits, residue r in field r.  A block moves
     h by +1, -1 or 0 (the last in two ways), then adds the new h to the
-    area, which rotates the vector by h.  After k blocks only |h| <=
-    n - k can still return to 0.  No sign constraint on the area, so
-    this counts all bridges, not just graphical ones.  This is the
-    oracle for N'(n) = 2T(n) and never reads the tree sieve; the Nprime
-    table reads 2 * plane_tree_counts instead.
+    area, which rotates the fields by h: a shift left by h mod n fields,
+    the fields pushed past n folded back to the bottom.  After k blocks
+    only |h| <= n - k can still return to 0.  No sign constraint on the
+    area, so this counts all bridges, not just graphical ones.  No field
+    carries: each counts walks of 2k <= 2n steps, at most 4^n.  This is
+    the oracle for N'(n) = 2T(n) and never reads the tree sieve; the
+    Nprime table reads 2 * plane_tree_counts instead.
     """
     check_size("n", n, 1, RESIDUE_DP_CAP)
-    zero = [0] * n
-    vecs = [[1] + zero[1:]]  # half-heights -top, ..., top
+    w = field_width(n)
+    span = n * w
+    full = (1 << span) - 1
+    vecs = [1]  # half-heights -top, ..., top
     for k in range(1, n + 1):
         top = min(k, n - k)
-        pad = [zero] * (top - len(vecs) // 2 + 1)
+        pad = [0] * (top - len(vecs) // 2 + 1)
         padded = pad + vecs + pad
         vecs = []
         for h in range(-top, top + 1):
             below, here, above = padded[h + top : h + top + 3]
-            s = [a + 2 * b + c for a, b, c in zip(below, here, above)]
-            vecs.append(s[-h % n :] + s[: -h % n])
-    return vecs[0][0]
+            v = (below + (here << 1) + above) << (h % n) * w
+            vecs.append((v & full) | (v >> span))
+    return vecs[0] & ((1 << w) - 1)
 
 
 def count_bridges_area_divisible_bruteforce(n: int) -> int:

@@ -82,7 +82,8 @@ def bridge_counts_from_trees(n_max: int) -> list[int]:
     check_size("n_max", n_max, 0, BRIDGE_TABLE_CAP)
     b = inverse_log_transform([2 * t for t in plane_tree_counts(n_max)[1:]])
     # a Fraction here would mean the tree table broke the identity
-    assert all(type(v) is int for v in b)
+    if any(type(v) is not int for v in b):
+        raise AssertionError("the tree counts give a non-integer bridge count")
     return b
 
 
@@ -110,7 +111,8 @@ def parts_count_distribution(n: int) -> dict[int, Fraction]:
         power = nxt
         if power[n]:
             dist[m] = Fraction(power[n], b[n])
-    assert sum(dist.values()) == 1
+    if sum(dist.values()) != 1:
+        raise AssertionError(f"the part-count law at n = {n} does not sum to 1")
     return dist
 
 

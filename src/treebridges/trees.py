@@ -10,7 +10,11 @@ The companion quantities here are M(n, k), the number of size-k
 submultisets of {0, ..., n-1} whose sum is divisible by n, and the number
 of monotone lattice paths from (0,0) to (n,n) whose area statistic is
 divisible by n.  Both collapse onto T(n); the dual counting routes
-(closed formula, DP, exhaustive scan) exist to check each other.
+(closed formula, DP, exhaustive scan) exist to check each other.  The
+path DP, count_paths_by_final_step, packs its counts by area mod n into
+one int per height, in fields of bridges.field_width(n) bits: a path to
+a point of the n x n grid is one of at most binomial(2n, n) < 4^n, so
+no field carries into the next.
 
 A run T(0..n_max) comes from the sieve plane_tree_counts; a single value
 comes from the divisor sum in zero_sum_multisets, since T(n) = M(n, n).
@@ -22,7 +26,7 @@ import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bridges import RESIDUE_DP_CAP
+from .bridges import RESIDUE_DP_CAP, field_width
 from .numtheory import check_size, divisors, euler_phi
 
 UP = "U"
@@ -68,7 +72,8 @@ def plane_tree_counts(n_max: int) -> tuple:
         for m in range(2 * k, n_max + 1, k):
             out[m] += c * phi[m // k]
         acc = out[k] + c
-        assert acc % k == 0
+        if acc % k:
+            raise AssertionError(f"Walkup's sum for T({k}) is not a multiple of {k}")
         out[k] = acc // k
     return tuple(out)
 
@@ -96,7 +101,8 @@ def zero_sum_multisets(n: int, k: int) -> int:
     total = 0
     for d in divisors(math.gcd(k, n)):
         total += math.comb((n + k) // d - 1, k // d) * euler_phi(d)
-    assert total % n == 0
+    if total % n:
+        raise AssertionError(f"the divisor sum for M({n}, {k}) is not a multiple of {n}")
     return total // n
 
 
@@ -153,27 +159,33 @@ def count_paths_by_final_step(n: int) -> tuple[int, int]:
     running sum over heights.  A path ends in Right exactly when its
     final Right step lands at height n.  The oracle that each half is
     T(n): it never reads the sieve, and the N table never runs it.
+
+    One packed int per height y holds the counts by area mod n, n fields
+    of bridges.field_width(n) bits, residue r in field r.  The rotation
+    by y is a shift left by y mod n fields, the fields pushed past n
+    folded back to the bottom, and the running sum over heights adds
+    whole packed ints.  No field carries: each counts paths from (0, 0)
+    to one lattice point (x, y) with x, y <= n, at most
+    binomial(x + y, y) <= binomial(2n, n) < 4^n.
     """
     check_size("n", n, 1, RESIDUE_DP_CAP)
+    w = field_width(n)
+    span = n * w
+    full = (1 << span) - 1
+    low = (1 << w) - 1
     # column 0: the all-Up prefix to height y, area 0
-    col = [[0] * n for _ in range(n + 1)]
-    for y in range(n + 1):
-        col[y][0] = 1
+    col = [1] * (n + 1)
     for _ in range(n):
-        nxt = []
+        # read in the last column: the final Right step lands at height n,
+        # whose rotation, by n, is the identity
+        ending_right = col[n] & low
+        acc = 0
         for y in range(n + 1):
-            row = col[y]
-            shift = y % n
             # Right step into this column at height y: residue r -> r + y
-            nxt.append(row[-shift:] + row[:-shift])
-        # read in the last column: the final Right step lands at height n
-        ending_right = nxt[n][0]
-        for y in range(1, n + 1):
-            below, here = nxt[y - 1], nxt[y]
-            for r in range(n):
-                here[r] += below[r]
-        col = nxt
-    return col[n][0] - ending_right, ending_right
+            v = col[y] << (y % n) * w
+            acc += (v & full) | (v >> span)
+            col[y] = acc
+    return (col[n] & low) - ending_right, ending_right
 
 
 def count_paths_area_divisible_bruteforce(n: int) -> int:

@@ -12,40 +12,46 @@ from fractions import Fraction
 from . import bijections, bridges, constants, graphseq, series, trees
 from .numtheory import check_size
 
-Check = tuple[str, bool, str]
+Check = tuple[str, bool, str]  # (title, passed, detail)
+Outcome = tuple[bool, str]  # what a check returns: (passed, detail)
 
 
-def _each_n(name: str, n_max: int, fails, start: int = 1, also: str = "") -> Check:
+def _titled(title: str):
+    """Give a check the name that its line prints, whether it passes,
+    fails or raises."""
+
+    def mark(check):
+        check.title = title
+        return check
+
+    return mark
+
+
+def _each_n(n_max: int, fails, start: int = 1, also: str = "") -> Outcome:
     """Run fails(n) for start <= n <= n_max and report the failing n."""
     bad = [n for n in range(start, n_max + 1) if fails(n)]
     detail = f"checked n <= {n_max}{also}" + (f", failures at {bad}" if bad else "")
-    return name, not bad, detail
+    return not bad, detail
 
 
-def check_log_transform_doubles_tree_counts(n_max: int = 24) -> Check:
+@_titled("log transform of bridge counts doubles tree counts")
+def check_log_transform_doubles_tree_counts(n_max: int = 24) -> Outcome:
     star = series.log_transform(list(bridges.graphical_bridge_counts(n_max)))
     t = trees.plane_tree_counts(n_max)
-    return _each_n(
-        "log transform of bridge counts doubles tree counts",
-        n_max,
-        lambda n: star[n - 1] != 2 * t[n],
-    )
+    return _each_n(n_max, lambda n: star[n - 1] != 2 * t[n])
 
 
-def check_mean_inverse_parts_identity(n_max: int = 24) -> Check:
+@_titled("mean inverse part count times n B_n gives twice the tree count")
+def check_mean_inverse_parts_identity(n_max: int = 24) -> Outcome:
     b = bridges.graphical_bridge_counts(n_max)
     t = trees.plane_tree_counts(n_max)
-    return _each_n(
-        "mean inverse part count times n B_n gives twice the tree count",
-        n_max,
-        lambda n: series.mean_inverse_parts(n) * n * b[n] != 2 * t[n],
-    )
+    return _each_n(n_max, lambda n: series.mean_inverse_parts(n) * n * b[n] != 2 * t[n])
 
 
-def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Check:
+@_titled("irreducible counts from series inversion match enumeration")
+def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Outcome:
     fromseries = series.irreducible_bridge_counts(list(bridges.graphical_bridge_counts(n_max)))
     return _each_n(
-        "irreducible counts from series inversion match enumeration",
         n_max,
         lambda n: fromseries[n]
         != sum(
@@ -56,43 +62,41 @@ def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Check:
     )
 
 
-def check_parts_distribution_normalized(n_max: int = 20) -> Check:
+@_titled("part count distribution sums to one exactly")
+def check_parts_distribution_normalized(n_max: int = 20) -> Outcome:
     return _each_n(
-        "part count distribution sums to one exactly",
         n_max,
         lambda n: sum(series.parts_count_distribution(n).values(), Fraction(0)) != 1,
     )
 
 
-def check_negbin_distance_shrinks(n_max: int = 40) -> Check:
+@_titled("distance from part counts to the shifted negative binomial shrinks")
+def check_negbin_distance_shrinks(n_max: int = 40) -> Outcome:
     small = 10
     large = max(20, n_max)
     d_small = series.parts_negbin_tv_distance(small)
     d_large = series.parts_negbin_tv_distance(large)
     ok = d_large < d_small
-    return (
-        "distance from part counts to the shifted negative binomial shrinks",
-        ok,
-        f"tv({small}) = {d_small:.4f}, tv({large}) = {d_large:.4f}",
-    )
+    return ok, f"tv({small}) = {d_small:.4f}, tv({large}) = {d_large:.4f}"
 
 
-def check_path_map_roundtrip(n_max: int = 6) -> Check:
-    name = "path map round trips on every graphical bridge"
+@_titled("path map round trips on every graphical bridge")
+def check_path_map_roundtrip(n_max: int = 6) -> Outcome:
     seen = 0
     for n in range(1, n_max + 1):
         for br in bridges.enumerate_graphical_bridges(n):
             path, ell = bijections.bridge_to_path(br)
             if bijections.path_to_bridge(path) != br:
-                return name, False, f"failed at {bridges.bridge_to_string(br)}"
+                return False, f"failed at {bridges.bridge_to_string(br)}"
             area = trees.path_area(path)
             if area != bridges.diamond_area(br) + ell * n:
-                return name, False, f"area mismatch at {bridges.bridge_to_string(br)}"
+                return False, f"area mismatch at {bridges.bridge_to_string(br)}"
             seen += 1
-    return name, True, f"{seen} bridges, n <= {n_max}, exact area bookkeeping"
+    return True, f"{seen} bridges, n <= {n_max}, exact area bookkeeping"
 
 
-def check_shift_map_bijection(n_max: int = 6) -> Check:
+@_titled("shift map is a bijection onto balanced divisible-area walks")
+def check_shift_map_bijection(n_max: int = 6) -> Outcome:
     def fails(n: int) -> bool:
         images = set()
         for pair in bijections.enumerate_shifted_pairs(n):
@@ -102,69 +106,58 @@ def check_shift_map_bijection(n_max: int = 6) -> Check:
             images.add(w)
         return len(images) != bridges.count_bridges_area_divisible(n)
 
-    return _each_n(
-        "shift map is a bijection onto balanced divisible-area walks",
-        n_max,
-        fails,
-        also=" with explicit inverses",
-    )
+    return _each_n(n_max, fails, also=" with explicit inverses")
 
 
-def check_path_count_identity(n_max: int = 30) -> Check:
+@_titled("divisible-area path counts equal tree counts by final step")
+def check_path_count_identity(n_max: int = 30) -> Outcome:
     t = trees.plane_tree_counts(n_max)
-    return _each_n(
-        "divisible-area path counts equal tree counts by final step",
-        n_max,
-        lambda n: trees.count_paths_by_final_step(n) != (t[n], t[n]),
-    )
+    return _each_n(n_max, lambda n: trees.count_paths_by_final_step(n) != (t[n], t[n]))
 
 
-def check_bridge_walk_counts_agree(n_max: int = 30) -> Check:
+@_titled("divisible-area walk counts match divisible-area path counts")
+def check_bridge_walk_counts_agree(n_max: int = 30) -> Outcome:
     return _each_n(
-        "divisible-area walk counts match divisible-area path counts",
         n_max,
         lambda n: bridges.count_bridges_area_divisible(n)
         != trees.count_paths_area_divisible(n),
     )
 
 
-def check_growth_constant_consistency() -> Check:
+@_titled("growth constant, stopping probability and gamma prefactor cohere")
+def check_growth_constant_consistency() -> Outcome:
     c = constants.count_growth_constant()
     rho = constants.exact_zero_area_prob()
     pref = constants.gamma_prefactor()
     lo = c.low * (1 - rho.high) ** 0.5
     hi = c.high * (1 - rho.low) ** 0.5
     ok = lo <= pref.high and pref.low <= hi
-    return (
-        "growth constant, stopping probability and gamma prefactor cohere",
-        ok,
-        f"C sqrt(1 - rho) in [{lo:.12f}, {hi:.12f}]",
-    )
+    return ok, f"C sqrt(1 - rho) in [{lo:.12f}, {hi:.12f}]"
 
 
-def check_bridge_counts_match_enumeration(n_max: int = 7) -> Check:
+@_titled("bridge counting recursion matches exhaustive enumeration")
+def check_bridge_counts_match_enumeration(n_max: int = 7) -> Outcome:
     counts = bridges.graphical_bridge_counts(n_max)
     return _each_n(
-        "bridge counting recursion matches exhaustive enumeration",
         n_max,
         lambda n: counts[n] != sum(1 for _ in bridges.enumerate_graphical_bridges(n)),
         start=0,
     )
 
 
-def check_degree_sequence_oracle(n_max: int = 6) -> Check:
+@_titled("graphical sequence counts match degree sequences of actual graphs")
+def check_degree_sequence_oracle(n_max: int = 6) -> Outcome:
     return _each_n(
-        "graphical sequence counts match degree sequences of actual graphs",
         n_max,
         lambda n: graphseq.count_graphical_sequences(n)
         != len(graphseq.all_graph_degree_sequences(n)),
     )
 
 
-def check_multiset_formula(n_max: int = 7) -> Check:
+@_titled("zero-sum multiset formula matches direct enumeration")
+def check_multiset_formula(n_max: int = 7) -> Outcome:
     k_max = 6
     return _each_n(
-        "zero-sum multiset formula matches direct enumeration",
         n_max,
         lambda n: any(
             trees.zero_sum_multisets(n, k) != trees.zero_sum_multisets_bruteforce(n, k)
@@ -222,9 +215,10 @@ def run_suite(name: str, n_max: int | None = None) -> list[Check]:
     for check, ceiling in entries:
         try:
             if ceiling is None or n_max is None:
-                results.append(check())
+                passed, detail = check()
             else:
-                results.append(check(min(n_max, ceiling)))
+                passed, detail = check(min(n_max, ceiling))
         except Exception as exc:
-            results.append((check.__name__, False, f"raised {exc!r}"))
+            passed, detail = False, f"raised {exc!r}"
+        results.append((check.title, passed, detail))
     return results

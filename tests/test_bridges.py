@@ -175,6 +175,77 @@ def test_bridge_layers_prune_is_the_bruteforce_closing_bound():
             assert layer == expected, (n_max, k)
 
 
+# the per-entry forms of the packed bridge DPs, kept as their references:
+# one dict entry per (height, sigma) state and one list entry per residue
+_BLOCKS = ((2, 1), (-2, 1), (0, 2))
+
+
+def _dict_bridge_layers(n_max):
+    states = {(0, 0): 1}
+    yield states
+    for r in reversed(range(n_max)):  # r blocks left after this one
+        # room[a + n_max]: the largest sigma at half-height a that can close, or -1
+        room = [-1] * (2 * n_max + 1)
+        for a in range(-r, r + 1):
+            s = (r - a) % 2
+            b = (a + s - r) // 2
+            room[a + n_max] = b * b - s * b - a * (a - 1) // 2
+        nxt = {}
+        for (height, sigma), ways in states.items():
+            for dh, weight in _BLOCKS:
+                h2 = height + dh
+                half = h2 // 2
+                s2 = sigma + half
+                if s2 < 0 or s2 > room[half + n_max]:
+                    continue
+                if half < 0 and s2 < half * (half + 1) // 2:
+                    continue
+                key = (h2, s2)
+                nxt[key] = nxt.get(key, 0) + weight * ways
+        states = nxt
+        yield states
+
+
+def _list_bridges_area_divisible(n):
+    zero = [0] * n
+    vecs = [[1] + zero[1:]]  # half-heights -top, ..., top
+    for k in range(1, n + 1):
+        top = min(k, n - k)
+        pad = [zero] * (top - len(vecs) // 2 + 1)
+        padded = pad + vecs + pad
+        vecs = []
+        for h in range(-top, top + 1):
+            below, here, above = padded[h + top : h + top + 3]
+            s = [a + 2 * b + c for a, b, c in zip(below, here, above)]
+            vecs.append(s[-h % n :] + s[: -h % n])
+    return vecs[0][0]
+
+
+def test_bridge_layers_view_is_the_dict_dp():
+    for n_max in range(31):
+        reference = list(_dict_bridge_layers(n_max))
+        assert list(bridges.bridge_layers(n_max)) == reference, n_max
+        assert bridges.graphical_bridge_counts(n_max) == tuple(
+            layer.get((0, 0), 0) for layer in reference
+        )
+
+
+def test_count_bridges_area_divisible_is_the_list_dp():
+    for n in range(1, 61):
+        assert bridges.count_bridges_area_divisible(n) == _list_bridges_area_divisible(n), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 45, 100, bridges.BRIDGE_DP_CAP])
+def test_field_width_holds_four_to_the_n(n):
+    # 4^n bounds every count of the packed DPs at n; a width one bit
+    # short of 2n + 1 would carry it into the next field
+    w = bridges.field_width(n)
+    fields = [4**n, 0, 4**n - 1, 1, 4**n]
+    packed = sum(c << i * w for i, c in enumerate(fields))
+    assert bridges._unpack(packed, w) == fields
+    assert packed & (1 << w) - 1 == 4**n
+
+
 def test_graphical_bridge_counts_cap():
     with pytest.raises(ValueError, match="capped"):
         bridges.graphical_bridge_counts(bridges.BRIDGE_DP_CAP + 1)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -203,6 +204,62 @@ def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
     # argument errors still raise before any check runs
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "0")
     assert code == 2 and not out and "n_max" in err
+
+
+def test_verify_names_a_raising_check_by_its_title(capsys, monkeypatch):
+    # a check that raises prints the same readable name as when it runs
+    real = trees.plane_tree_counts
+
+    def off_by_one(n_max):
+        t = list(real(n_max))
+        if n_max >= 5:
+            t[5] += 1
+        return tuple(t)
+
+    monkeypatch.setattr(trees, "plane_tree_counts", off_by_one)
+    monkeypatch.setattr(series, "plane_tree_counts", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert any("raised AssertionError" in line for line in lines)
+    assert not [line for line in lines if line.startswith("FAIL check_")]
+    named = {line.split(" (", 1)[0][5:] for line in VERIFY_ALL[:-1]}
+    assert {line.split(" (", 1)[0][5:] for line in lines[:-1]} == named
+
+
+def test_self_checks_raise_under_python_O():
+    # python -O strips bare asserts; the self-checks raise AssertionError
+    # themselves, so T(5) + 1 still stops the tree formula for b_n and
+    # fails verify
+    script = textwrap.dedent(
+        """
+        import sys
+        from treebridges import cli, series, trees
+
+        assert False, "asserts are not stripped"
+        real = trees.plane_tree_counts
+
+        def off_by_one(n_max):
+            t = list(real(n_max))
+            if n_max >= 5:
+                t[5] += 1
+            return tuple(t)
+
+        trees.plane_tree_counts = series.plane_tree_counts = off_by_one
+        try:
+            series.bridge_counts_from_trees(6)
+        except AssertionError:
+            pass
+        else:
+            sys.exit(3)
+        sys.exit(cli.main(["verify", "--suite", "all"]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert proc.stdout.splitlines()[-1] == "8 of 13 checks passed"
 
 
 def test_constants_json_contract(capsys):

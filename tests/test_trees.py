@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import pytest
@@ -86,6 +87,41 @@ def test_count_paths_by_final_step_split():
         t = trees.plane_tree_count(n)
         assert (up, right) == (t, t)
         assert up + right == trees.count_paths_area_divisible(n)
+
+
+def _list_paths_by_final_step(n):
+    # the per-entry form of the packed path DP: one list entry per residue
+    col = [[0] * n for _ in range(n + 1)]
+    for y in range(n + 1):
+        col[y][0] = 1
+    for _ in range(n):
+        nxt = []
+        for y in range(n + 1):
+            row = col[y]
+            shift = y % n
+            nxt.append(row[-shift:] + row[:-shift])
+        ending_right = nxt[n][0]
+        for y in range(1, n + 1):
+            below, here = nxt[y - 1], nxt[y]
+            for r in range(n):
+                here[r] += below[r]
+        col = nxt
+    return col[n][0] - ending_right, ending_right
+
+
+def test_count_paths_by_final_step_is_the_list_dp():
+    for n in range(1, 61):
+        assert trees.count_paths_by_final_step(n) == _list_paths_by_final_step(n), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 45, bridges.RESIDUE_DP_CAP])
+def test_path_field_width_holds_the_central_binomial(n):
+    # binomial(2n, n) paths reach (n, n), the most of any point the DP
+    # visits; it must come back whole from a field between two others
+    w = bridges.field_width(n)
+    top = math.comb(2 * n, n)
+    packed = top | top << w | top << 2 * w
+    assert bridges._unpack(packed, w) == [top] * 3
 
 
 def test_bruteforce_cap_enforced():
