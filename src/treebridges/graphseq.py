@@ -19,6 +19,22 @@ whose prefix sums of x are all >= 0 with an even total; the empty pair
 is the all-zero sequence.  graphical_sequence_counts builds these
 counts for every n <= n_max in one O(n_max^4) sweep.
 
+The sweep keeps each table of stacks as two ints, one per parity of
+the stacks' totals, in fields of w = field_width(n_max) bits.  The
+table is cumulative in the worst deficit m: field k counts the stacks
+with m <= k, so every field at or past the table's size s would equal
+field s - 1, its total.  A new top moves every m by the same offset and
+clips it at 0, and a cumulative count clips at 0 by itself, so a push
+(_push) is one shift of each int, a fill of the fields shifted in from
+past s with the total, and a mask, and the 2-D prefix sums are adds of
+whole ints.  No field carries: every field counts a set of distinct
+stacks, and a stack is a pair of equal-size sets, arms in
+[0, n_max - 2] and legs in [0, n_max - 1], so there are at most
+
+    sum_k C(n_max - 1, k) * C(n_max, k) = C(2 n_max - 1, n_max - 1) < 4^n_max
+
+of them (Vandermonde), and w >= 2 n_max + 1 bits hold 4^n_max.
+
 The enumeration of non-increasing candidate sequences with a prefix
 prune (_count_by_enumeration) and a brute-force oracle over all graphs
 on up to 6 vertices certify the test and the counts independently.
@@ -28,17 +44,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .bridges import field_width
 from .numtheory import check_size
-
-# numpy is imported inside the functions that use it, so that importing
-# the package does not load it
 
 # the labelled degree vectors number up to n^n: 0.03 s / 16 MB at n = 6
 # and 0.5 s / 48 MB peak resident memory at 7 (2-core x86-64, Python 3.11)
 ORACLE_CAP = 6
 # the Frobenius sweep behind count_graphical_sequences and the G table:
-# the whole CLI table takes 0.8-1.1 s / 40 MB at n = 100 and 8.5-12 s /
-# 136-137 MB peak resident memory at 200 on a 2-core x86-64 host with
+# the whole CLI table takes 0.5-0.6 s / 21 MB at n = 100 and 8.6-10.9 s /
+# 98 MB peak resident memory at 200 on a loaded 2-core x86-64 host with
 # Python 3.11
 COUNT_CAP = 200
 
@@ -119,32 +133,39 @@ def _count_by_enumeration(n: int) -> int:
     return total
 
 
-def _push(stacks, x: int, size: int):
+def _repeat(value: int, count: int, width: int) -> int:
+    """value in each of count fields of width bits."""
+    return int.from_bytes(value.to_bytes(width // 8, "little") * count, "little")
+
+
+def _push(stacks: tuple, x: int, s: int, size: int, width: int, keep: int) -> tuple:
     """Put a pair with offset x on top of every stack in stacks.
 
-    stacks[m, p] counts stacks whose partial sums from the top reach
-    down to -m at worst (m >= 0) and whose total has parity p.  The new
-    top gives m' = max(0, m - x) and p' = p + x; rows m' >= size are
-    dropped, so x = 0 only cuts or zero-pads stacks to size rows.  The
-    result may be a view of stacks; callers do not write to it.
+    stacks is a table of s fields of width bits in the layout of the
+    module docstring: (even, odd) by the parity of the total, field k
+    counting the stacks whose partial sums from the top reach down to -m
+    at worst with m <= k.  The new top gives m' = max(0, m - x) and
+    flips the parity when x is odd, so field k of the result is field
+    k + x of the table: a right shift by x fields, or a left shift by -x
+    (which leaves the first -x fields empty).  The fields from s - x on
+    come from past the table and are filled with its total, field s - 1.
+    Stacks with m' >= size are dropped: the result keeps size fields,
+    and keep masks them.
     """
-    import numpy as np
-
-    # the sweep cuts every table once per arm; a copy where a view does
-    # costs it about 10% at n_max = 120
-    if x == 0 and len(stacks) >= size:
-        return stacks[:size]
-    if x & 1:
-        stacks = stacks[:, ::-1]
-    out = np.zeros((size, 2), dtype=stacks.dtype)
-    if x >= 0:
-        out[0] = stacks[: x + 1].sum(axis=0)
-        tail = stacks[x + 1 : x + size]
-        out[1 : 1 + len(tail)] = tail
-    else:
-        head = stacks[: max(size + x, 0)]
-        out[-x : -x + len(head)] = head
-    return out
+    low = max(s - x, 0)
+    out = []
+    for table in stacks[::-1] if x & 1 else stacks:
+        total = table >> (s - 1) * width
+        if x > 0:
+            table >>= x * width
+        elif x < 0:
+            table <<= -x * width
+        if low < size:
+            table |= _repeat(total, size - low, width) << low * width
+        elif low > size:
+            table &= keep
+        out.append(table)
+    return tuple(out)
 
 
 def graphical_sequence_counts(n_max: int) -> tuple:
@@ -152,36 +173,41 @@ def graphical_sequence_counts(n_max: int) -> tuple:
     length, G(0) = 1 counting the empty sequence.
 
     The sweep reads the Frobenius pairs from the smallest upward.  A
-    stack is a set of pairs read so far, kept by its state (m, parity)
-    as in _push; it is a graphical sequence when m = 0 and the parity is
-    even.  The stacks a top (a, l) can sit on are the empty one and
-    those whose top lies strictly below and left of it, a 2-D prefix sum
-    kept row by row: below[l + 1] sums the empty stack and the stacks
-    with top arm < a and top leg <= l, and below[0] is the empty stack.
-    A closed stack's top (a, l) has x = l - a - 1 >= 0, so it fits the
-    box from length l + 1 on: after the last arm, the closed stacks
-    counted in below[n] (its row 0, even parity) are G(n), and one sweep
-    serves every length.
+    stack is a set of pairs read so far, kept by its worst deficit m and
+    the parity of its total as in _push; it is a graphical sequence when
+    m = 0 and the parity is even.  The stacks a top (a, l) can sit on
+    are the empty one and those whose top lies strictly below and left
+    of it, a 2-D prefix sum kept row by row: below[l + 1] sums the empty
+    stack and the stacks with top arm < a and top leg <= l, and
+    below[0] is the empty stack.  A closed stack's top (a, l) has
+    x = l - a - 1 >= 0, so it fits the box from length l + 1 on: after
+    the last arm, the closed stacks counted in below[n] (field 0 of its
+    even int) are G(n), and one sweep serves every length.  below[leg]
+    is last read in iteration leg, and is released there.
 
     Pairs above arm a add at most floor((n_max - a - 2)^2 / 4) to the
     partial sums, and the arms up to a take at most (a+1)(a+2)/2 from
-    them, so no row m past the smaller bound is kept.
+    them, so no field m past the smaller bound is kept.
     """
-    import numpy as np
-
     check_size("n_max", n_max, 0, COUNT_CAP)
-    empty = np.array([[1, 0]], dtype=object)
-    below = [empty] * (n_max + 1)
+    width = field_width(n_max)
+    below = [(1, 0)] * (n_max + 1)
+    s = 1
     for a in range(n_max - 1):
         size = min((a + 1) * (a + 2) // 2, (n_max - a - 2) ** 2 // 4) + 1
-        run = np.zeros((size, 2), dtype=empty.dtype)
-        here = [empty]
+        keep = (1 << size * width) - 1
+        # the empty stack has m = 0, so every field counts it
+        here = [(_repeat(1, size, width), 0)]
+        run_even = run_odd = 0
         for leg in range(n_max):
-            top = _push(below[leg], leg - a - 1, size)
-            run += top
-            here.append(_push(below[leg + 1], 0, size) + run)
-        below = here
-    return tuple(t[0, 0] for t in below)
+            top_even, top_odd = _push(below[leg], leg - a - 1, s, size, width, keep)
+            below[leg] = None
+            run_even += top_even
+            run_odd += top_odd
+            even, odd = _push(below[leg + 1], 0, s, size, width, keep)
+            here.append((even + run_even, odd + run_odd))
+        below, s = here, size
+    return tuple(even & (1 << width) - 1 for even, _ in below)
 
 
 def count_graphical_sequences(n: int) -> int:

@@ -361,3 +361,42 @@ def test_the_cli_and_constants_do_not_load_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_g_table_and_verify_do_not_load_numpy():
+    # the Frobenius sweep runs on packed ints; numpy costs a cold G table
+    # or verify battery about 0.1 s of import
+    script = (
+        "import sys, treebridges.cli as cli\n"
+        "assert cli.main(['tables', '--which', 'G', '--n-max', '60']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'tables'\n"
+        "assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'verify'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_fails_the_degree_sequence_line_when_g_is_off(capsys, monkeypatch):
+    # G(5) one too high fails the graph-oracle line and no other
+    real = graphseq.graphical_sequence_counts
+
+    def off_by_one(n_max):
+        g = list(real(n_max))
+        if n_max >= 5:
+            g[5] += 1
+        return tuple(g)
+
+    monkeypatch.setattr(graphseq, "graphical_sequence_counts", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert len(lines) == len(VERIFY_ALL)
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith(
+        "FAIL graphical sequence counts match degree sequences of actual graphs"
+    )
+    assert "failures at [5]" in failed[0]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
-from treebridges import graphseq
+from treebridges import bridges, graphseq
 
 # counts of graphical degree sequences by vertex count; n = 11..14 from
 # _count_by_enumeration (about 110 s for the four)
@@ -131,3 +133,64 @@ def test_ratio_table_shape_and_band():
     for n in range(8, 13):
         assert 0.03 < ratios[n - 1] < 0.3
     assert ratios[7] > ratios[8] > ratios[9] > ratios[10] > ratios[11]
+
+
+def _dense_push(stacks, x: int, size: int):
+    """Put a pair with offset x on top of every stack in stacks.
+
+    stacks[m, p] counts stacks whose partial sums from the top reach
+    down to -m at worst (m >= 0) and whose total has parity p.  The new
+    top gives m' = max(0, m - x) and p' = p + x; rows m' >= size are
+    dropped, so x = 0 only cuts or zero-pads stacks to size rows.  The
+    result may be a view of stacks; callers do not write to it.
+    """
+    if x == 0 and len(stacks) >= size:
+        return stacks[:size]
+    if x & 1:
+        stacks = stacks[:, ::-1]
+    out = np.zeros((size, 2), dtype=stacks.dtype)
+    if x >= 0:
+        out[0] = stacks[: x + 1].sum(axis=0)
+        tail = stacks[x + 1 : x + size]
+        out[1 : 1 + len(tail)] = tail
+    else:
+        head = stacks[: max(size + x, 0)]
+        out[-x : -x + len(head)] = head
+    return out
+
+
+def _dense_graphical_sequence_counts(n_max: int) -> tuple:
+    """The Frobenius sweep of graphseq.graphical_sequence_counts on
+    dtype=object arrays, one row per worst deficit m: the reference for
+    the packed cumulative layout."""
+    empty = np.array([[1, 0]], dtype=object)
+    below = [empty] * (n_max + 1)
+    for a in range(n_max - 1):
+        size = min((a + 1) * (a + 2) // 2, (n_max - a - 2) ** 2 // 4) + 1
+        run = np.zeros((size, 2), dtype=empty.dtype)
+        here = [empty]
+        for leg in range(n_max):
+            top = _dense_push(below[leg], leg - a - 1, size)
+            run += top
+            here.append(_dense_push(below[leg + 1], 0, size) + run)
+        below = here
+    return tuple(t[0, 0] for t in below)
+
+
+def test_packed_sweep_is_the_dense_sweep():
+    for n_max in [*range(41), 60, 100]:
+        assert graphseq.graphical_sequence_counts(n_max) == _dense_graphical_sequence_counts(
+            n_max
+        ), n_max
+
+
+def test_sweep_width_holds_the_pair_count():
+    # C(2n - 1, n - 1) pairs of equal-size arm and leg sets bound every
+    # field of the sweep at n_max = n; it must come back whole from a
+    # field between two others
+    for n in range(1, graphseq.COUNT_CAP + 1):
+        w = bridges.field_width(n)
+        top = math.comb(2 * n - 1, n - 1)
+        packed = graphseq._repeat(top, 3, w)
+        assert packed == top | top << w | top << 2 * w
+        assert bridges._unpack(packed, w) == [top] * 3
