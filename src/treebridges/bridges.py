@@ -23,9 +23,9 @@ Graphical bridges are counted by one forward DP over (height, area)
 after each pair of increments, _packed_layers.  It is pruned to states
 whose area can still return to 0, by a closed form for the least area
 that the remaining pairs add (see _packed_layers).  It serves
-graphical_bridge_counts, which reads its (0, 0) counts, and, through
-the dict layers of bridge_layers, the exact sampler in walks_mc, which
-draws backward from them.
+graphical_bridge_counts, which reads its (0, 0) counts, and the exact
+sampler in walks_mc, which keeps its layers and draws backward from
+them.
 
 The bridge DP and the two residue DPs (count_bridges_area_divisible
 here, count_paths_by_final_step in trees) pack each vector of counts
@@ -35,8 +35,8 @@ then a few shifts, adds and masks on whole vectors.  No field carries
 into the next: every count the DPs form for walks of up to 2n steps,
 or for lattice paths to (n, n), counts a set of such walks or paths,
 so it is at most 4^n < 2^(2n+1), and field_width(n) is 2n + 1 bits
-rounded up to whole bytes.  Whole bytes let _unpack read the fields
-back in linear time, one byte slice each.
+rounded up to whole bytes.  Whole bytes let a reader take any field
+back as one slice of the int's little-endian bytes, as the sampler does.
 
 The exhaustive oracle enumerate_graphical_bridges walks increment pairs
 depth first, keeping (pairs left, height, sigma), so every prefix is
@@ -53,7 +53,7 @@ when any of these holds; none cuts a prefix of a graphical bridge:
 At r = 0 the cuts leave only height 0 and sigma 0, so every leaf is a
 graphical bridge.  Pairs are tried in the order (1,1), (1,-1), (-1,1),
 (-1,-1), so the output is lexicographic with +1 < -1.  Cut 3 is looser
-than bridge_layers' closing bound and shares no code with it, so the
+than _packed_layers' closing bound and shares no code with it, so the
 enumeration stays an independent check of the DP.
 """
 
@@ -230,14 +230,6 @@ def field_width(n: int) -> int:
     return 8 * (n // 4 + 1)
 
 
-def _unpack(packed: int, width: int) -> list[int]:
-    """The fields of packed, lowest first, in linear time: width is a
-    whole number of bytes, so each field is one slice of the bytes."""
-    size = width // 8
-    data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-
-
 def _packed_layers(n_max: int) -> Iterator[list]:
     """The forward graphical-bridge DP, one packed int per half-height.
 
@@ -291,27 +283,6 @@ def _packed_layers(n_max: int) -> Iterator[list]:
                 nxt[a] = v & ((1 << (room + 1) * w) - 1)
         vecs = nxt
         yield vecs
-
-
-def bridge_layers(n_max: int) -> Iterator[dict]:
-    """Forward layers of the graphical-bridge DP, pruned to states that
-    can still close by block n_max.
-
-    Yields n_max + 1 dicts, the nonzero fields of _packed_layers (which
-    proves the prune).  Layer k maps (height, sigma) after k blocks to
-    the number of walk prefixes of length 2k that reach it with every
-    even-prefix area non-negative; its (0, 0) entry is the number of
-    graphical bridges of length 2k.  Callers validate n_max.
-    """
-    w = field_width(n_max)
-    for vecs in _packed_layers(n_max):
-        yield {
-            (2 * a, sigma): ways
-            for a in range(-n_max, n_max + 1)
-            if vecs[a]
-            for sigma, ways in enumerate(_unpack(vecs[a], w))
-            if ways
-        }
 
 
 # typed, so that True is not served the cached entry for 1

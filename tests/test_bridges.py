@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bijections, bridges, series, trees
+from treebridges import bijections, bridges, series, trees, walks_mc
 
 # graphical bridge counts by half-length, starting at the empty bridge
 BRIDGE_COUNTS = (1, 2, 4, 8, 17, 38, 92, 236, 643, 1834)
@@ -105,9 +106,28 @@ def test_graphical_bridge_counts_match_tree_formula_at_80():
     assert list(bridges.graphical_bridge_counts(80)) == series.bridge_counts_from_trees(80)
 
 
+def _bridge_layers(n_max):
+    """The dict view of bridges._packed_layers: layer k maps each
+    (height, sigma) with a nonzero field to its count.  It reads the
+    fields by shift and mask, not by the byte slices the sampler uses."""
+    w = bridges.field_width(n_max)
+    mask = (1 << w) - 1
+    for vecs in bridges._packed_layers(n_max):
+        layer = {}
+        for a in range(-n_max, n_max + 1):
+            v = vecs[a]
+            sigma = 0
+            while v:
+                if v & mask:
+                    layer[2 * a, sigma] = v & mask
+                v >>= w
+                sigma += 1
+        yield layer
+
+
 def test_bridge_layers_keep_every_state_a_bridge_visits(graphical_bridges_by_n):
     for n, found in graphical_bridges_by_n.items():
-        layers = list(bridges.bridge_layers(n))
+        layers = list(_bridge_layers(n))
         assert len(layers) == n + 1
         for b in found:
             height = sigma = 0
@@ -126,11 +146,11 @@ def test_bridge_layers_keep_only_states_a_bridge_visits():
                 height += b[2 * k - 2] + b[2 * k - 1]
                 sigma += height // 2
                 visited[k].add((height, sigma))
-        assert [set(layer) for layer in bridges.bridge_layers(n)] == visited
+        assert [set(layer) for layer in _bridge_layers(n)] == visited
 
 
 def test_bridge_layers_state_total_frozen():
-    assert sum(len(layer) for layer in bridges.bridge_layers(45)) == 21_782
+    assert sum(len(layer) for layer in _bridge_layers(45)) == 21_782
 
 
 def _least_closing_area(a, r):
@@ -153,7 +173,7 @@ def test_bridge_layers_prune_is_the_bruteforce_closing_bound():
     least = {(a, r): _least_closing_area(a, r) for r in range(9) for a in range(-r - 1, r + 2)}
     for n_max in range(1, 18):
         reached = {(0, 0): 1}  # every prefix whose even-prefix areas are >= 0
-        for k, layer in enumerate(bridges.bridge_layers(n_max)):
+        for k, layer in enumerate(_bridge_layers(n_max)):
             if k:
                 nxt = {}
                 for (height, sigma), ways in reached.items():
@@ -224,10 +244,46 @@ def _list_bridges_area_divisible(n):
 def test_bridge_layers_view_is_the_dict_dp():
     for n_max in range(31):
         reference = list(_dict_bridge_layers(n_max))
-        assert list(bridges.bridge_layers(n_max)) == reference, n_max
+        assert list(_bridge_layers(n_max)) == reference, n_max
         assert bridges.graphical_bridge_counts(n_max) == tuple(
             layer.get((0, 0), 0) for layer in reference
         )
+
+
+def _reference_draw(layers, n, seed):
+    """The sampler's backward draw over dict layers built for n."""
+    rng = random.Random(seed)
+    pairs = []
+    h = s = 0
+    for k in range(n, 0, -1):
+        s_prev = s - h // 2
+        weights = [layers[k - 1].get((h - x - y, s_prev), 0) for x, y in walks_mc._PAIRS]
+        assert sum(weights) == layers[k][h, s]
+        pick = rng.randrange(sum(weights))
+        for pair, wt in zip(walks_mc._PAIRS, weights):
+            if pick < wt:
+                pairs.append(pair)
+                h -= pair[0] + pair[1]
+                s = s_prev
+                break
+            pick -= wt
+    return tuple(step for pair in reversed(pairs) for step in pair)
+
+
+def test_sampler_draws_are_the_dict_dp_draws(monkeypatch):
+    # an ascending session draws from tables built for n and past it,
+    # and a second pass draws every n from its last table, built for 33
+    monkeypatch.setattr(walks_mc, "_layers", ())
+    seeds = (0, 1, 7, 2024)
+    expected = {}
+    for n in range(31):
+        layers = list(_dict_bridge_layers(n))
+        for seed in seeds:
+            expected[n, seed] = _reference_draw(layers, n, seed)
+            assert walks_mc.sample_uniform_graphical_bridge(n, seed) == expected[n, seed], (n, seed)
+    assert len(walks_mc._layers) == 34
+    for (n, seed), drawn in expected.items():
+        assert walks_mc.sample_uniform_graphical_bridge(n, seed) == drawn, (n, seed)
 
 
 def test_count_bridges_area_divisible_is_the_list_dp():
@@ -236,13 +292,13 @@ def test_count_bridges_area_divisible_is_the_list_dp():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 45, 100, bridges.BRIDGE_DP_CAP])
-def test_field_width_holds_four_to_the_n(n):
+def test_field_width_holds_four_to_the_n(n, unpack):
     # 4^n bounds every count of the packed DPs at n; a width one bit
     # short of 2n + 1 would carry it into the next field
     w = bridges.field_width(n)
     fields = [4**n, 0, 4**n - 1, 1, 4**n]
     packed = sum(c << i * w for i, c in enumerate(fields))
-    assert bridges._unpack(packed, w) == fields
+    assert unpack(packed, w) == fields
     assert packed & (1 << w) - 1 == 4**n
 
 

@@ -184,7 +184,7 @@ def test_packed_sweep_is_the_dense_sweep():
         ), n_max
 
 
-def test_sweep_width_holds_the_pair_count():
+def test_sweep_width_holds_the_pair_count(unpack):
     # C(2n - 1, n - 1) pairs of equal-size arm and leg sets bound every
     # field of the sweep at n_max = n; it must come back whole from a
     # field between two others
@@ -193,4 +193,4 @@ def test_sweep_width_holds_the_pair_count():
         top = math.comb(2 * n - 1, n - 1)
         packed = graphseq._repeat(top, 3, w)
         assert packed == top | top << w | top << 2 * w
-        assert bridges._unpack(packed, w) == [top] * 3
+        assert unpack(packed, w) == [top] * 3

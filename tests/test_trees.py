@@ -115,13 +115,13 @@ def test_count_paths_by_final_step_is_the_list_dp():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 45, bridges.RESIDUE_DP_CAP])
-def test_path_field_width_holds_the_central_binomial(n):
+def test_path_field_width_holds_the_central_binomial(n, unpack):
     # binomial(2n, n) paths reach (n, n), the most of any point the DP
     # visits; it must come back whole from a field between two others
     w = bridges.field_width(n)
     top = math.comb(2 * n, n)
     packed = top | top << w | top << 2 * w
-    assert bridges._unpack(packed, w) == [top] * 3
+    assert unpack(packed, w) == [top] * 3
 
 
 def test_bruteforce_cap_enforced():

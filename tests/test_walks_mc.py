@@ -599,10 +599,10 @@ def _spy_on_table_builds(monkeypatch) -> list:
 
     def spy(n_max):
         builds.append(n_max)
-        return bridges.bridge_layers(n_max)
+        return bridges._packed_layers(n_max)
 
     monkeypatch.setattr(walks_mc, "_layers", ())
-    monkeypatch.setattr(walks_mc, "bridge_layers", spy)
+    monkeypatch.setattr(walks_mc, "_packed_layers", spy)
     return builds
 
 
@@ -621,6 +621,22 @@ def test_sampler_table_growth_stops_at_the_cap(monkeypatch):
     walks_mc.sample_uniform_graphical_bridge(29, 0)
     walks_mc.sample_uniform_graphical_bridge(30, 0)
     assert builds == [28, 30]
+
+
+@pytest.mark.parametrize("layer", [0, -1])
+def test_sampler_self_check_catches_a_corrupt_count(layer, monkeypatch):
+    # one more walk at (0, 0) in the first layer breaks the sum at a
+    # draw's last step, in the last layer at its first
+    def corrupt(n_max):
+        layers = list(bridges._packed_layers(n_max))
+        layers[layer][0] += 1
+        return layers
+
+    monkeypatch.setattr(walks_mc, "_layers", ())
+    monkeypatch.setattr(walks_mc, "_packed_layers", corrupt)
+    for seed in range(5):
+        with pytest.raises(AssertionError, match="weights do not sum"):
+            walks_mc.sample_uniform_graphical_bridge(12, seed)
 
 
 def test_sampler_rejects_non_int():
