@@ -18,7 +18,7 @@ cyclic shifts for the unique graphical preimage, asserting uniqueness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bridges import (
     Walk,
@@ -40,21 +40,38 @@ def first_irreducible_length(bridge: Walk) -> int:
     return cuts[0]
 
 
-@dataclass(frozen=True)
-class ShiftedPair:
+class _ShiftedPairFields(NamedTuple):
+    bridge: Walk
+    shift: int
+
+
+class ShiftedPair(_ShiftedPairFields):
     """A graphical bridge plus a legal shift offset.
 
     The offset must be an int with 0 <= shift < j, where 2j is the length
     of the bridge's first irreducible part; validation happens on
-    construction.
+    construction, and so on _replace, _make and unpickling too.  As a
+    tuple it compares equal to a plain (bridge, shift) tuple, which is
+    not itself a ShiftedPair.
     """
 
-    bridge: Walk
-    shift: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        j = first_irreducible_length(self.bridge) // 2  # rejects non-graphical
-        check_size("shift", self.shift, 0, j - 1)
+    def __new__(cls, bridge: Walk, shift: int):
+        j = first_irreducible_length(bridge) // 2  # rejects non-graphical
+        check_size("shift", shift, 0, j - 1)
+        return super().__new__(cls, bridge, shift)
+
+    # the inherited _make, and _replace through it, call tuple.__new__
+    # and would skip the check above
+    @classmethod
+    def _make(cls, iterable) -> "ShiftedPair":
+        return cls(*iterable)
+
+    # unpickled and copied through the constructor in every protocol,
+    # where 0 and 1 would otherwise rebuild the tuple unchecked
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 def enumerate_shifted_pairs(n: int):
@@ -79,6 +96,8 @@ def shift_bridge(pair: ShiftedPair) -> Walk:
     is not injective over the legal pairs, so this orientation is the
     one certified by the exhaustive bijection checks.
     """
+    if not isinstance(pair, ShiftedPair):
+        raise TypeError(f"pair must be a ShiftedPair, got {type(pair).__name__} {pair!r}")
     b, i = pair.bridge, pair.shift
     return b[2 * i :] + b[: 2 * i]
 

@@ -12,12 +12,13 @@ sequences outgrow 64 bits long before the caps bite.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
 from . import constants, graphseq, series, trees, verify, walks_mc
+
+# csv and json are imported inside the commands that print them, so that
+# a cold command loads neither unless its output needs it
 
 # the largest n-max each table accepts, checked before any work.  T(n)
 # passes the interpreter's 4,300-digit limit on int-to-str conversion
@@ -76,10 +77,14 @@ def cmd_tables(args) -> int:
         return _usage_error(f"table {args.which} is capped at n = {cap}, got {args.n_max}")
     header, rows = _table_rows(args.which, args.n_max)
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
+        import json
+
         payload = {
             "command": "tables",
             "which": args.which,
@@ -110,6 +115,8 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     if not 1 <= args.digits <= 12:
         return _usage_error(f"digits must be between 1 and 12, got {args.digits}")
+    import json
+
     vals = {
         "xi": constants.xi(),
         "C": constants.count_growth_constant(),
@@ -136,6 +143,8 @@ def cmd_rho_mc(args) -> int:
         )
     except ValueError as exc:
         return _usage_error(str(exc))
+    import json
+
     payload = {
         "estimate": None if math.isnan(est.estimate) else est.estimate,
         "samples": est.samples,

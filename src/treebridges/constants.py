@@ -75,9 +75,9 @@ one trusted input is libm's Gamma(3/4), in gamma_three_quarters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .numtheory import check_size, euler_phi
 from .trees import TREE_TABLE_CAP, plane_tree_counts
@@ -88,8 +88,7 @@ DEFAULT_TERMS = 10_000
 _TAIL = Fraction(1, 2**100)
 
 
-@dataclass(frozen=True)
-class BoundedReal:
+class BoundedReal(NamedTuple):
     """A value together with a rigorous absolute error bound."""
 
     value: float

@@ -37,7 +37,7 @@ import functools
 import math
 import os
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bridges import _packed_layers, field_width
 from .numtheory import check_size
@@ -71,8 +71,7 @@ class WalkOutcome(enum.Enum):
     CAPPED = "capped"
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Monte Carlo result: the estimate is the fraction of area-zero
     stops among non-capped runs; capped runs are excluded from the
     denominator but reported.  Nearly all of them would later stop at a

@@ -25,6 +25,26 @@ def test_shifted_pair_validation():
     assert pair.shift == 0
 
 
+def test_replace_and_make_revalidate_the_shift():
+    # j = 4: shifts 0..3 are legal
+    pair = bijections.ShiftedPair((1, 1, -1, -1, -1, -1, 1, 1), 2)
+    assert pair._replace(shift=3) == bijections.ShiftedPair(pair.bridge, 3)
+    with pytest.raises(ValueError, match="shift is capped at 3, got 99"):
+        pair._replace(shift=99)
+    with pytest.raises(ValueError, match="shift is capped at 0, got 1"):
+        bijections.ShiftedPair._make(((1, -1), 1))
+    with pytest.raises(ValueError):
+        pair._replace(bridge=(1, 1, -1, -1))  # not graphical
+
+
+def test_shift_bridge_rejects_a_non_pair():
+    # a plain tuple compares equal to a ShiftedPair but skipped its check
+    with pytest.raises(TypeError, match="pair must be a ShiftedPair, got int 5"):
+        bijections.shift_bridge(5)
+    with pytest.raises(TypeError, match="pair must be a ShiftedPair, got tuple"):
+        bijections.shift_bridge(((1, -1), 0))
+
+
 def test_enumerate_shifted_pairs_count(graphical_bridges_by_n):
     for n in range(1, 7):
         pairs = list(bijections.enumerate_shifted_pairs(n))

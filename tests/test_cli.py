@@ -363,6 +363,32 @@ def test_the_cli_and_constants_do_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_cli_loads_no_dataclasses_and_json_or_csv_only_to_print():
+    # without a bytecode cache, dataclasses (with inspect, ast and dis)
+    # costs a cold start about 6 ms and json and csv about 2 ms, and most
+    # commands need at most one of the two
+    script = textwrap.dedent(
+        """
+        import sys
+        before = set(sys.modules)
+        import treebridges.cli as cli
+        bad = (set(sys.modules) - before) & {"dataclasses", "inspect", "json", "csv"}
+        assert not bad, f"import loaded {sorted(bad)}"
+        before = set(sys.modules)
+        assert cli.main(["tables", "--which", "G", "--n-max", "9"]) == 0
+        assert "json" not in set(sys.modules) - before, "tables"
+        before = set(sys.modules)
+        assert cli.main(["verify", "--suite", "lemmas", "--n-max", "3"]) == 0
+        bad = (set(sys.modules) - before) & {"json", "csv"}
+        assert not bad, f"verify loaded {sorted(bad)}"
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_the_g_table_and_verify_do_not_load_numpy():
     # the Frobenius sweep runs on packed ints; numpy costs a cold G table
     # or verify battery about 0.1 s of import

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from math import gcd
 
 import pytest
@@ -128,3 +129,46 @@ def test_public_sizes_are_checked_at_the_boundary(call, name, least, cap):
     if cap is not None:
         with pytest.raises(ValueError, match=f"{name} is capped at {cap}"):
             call(cap + 1)
+
+
+# each public record type: its fields by keyword, and one field changed
+RECORDS = {
+    "BoundedReal": (constants.BoundedReal, {"value": 1.5, "error_bound": 0.25}, ("value", 2.5)),
+    "McEstimate": (
+        walks_mc.McEstimate,
+        {"estimate": 0.5, "samples": 10, "std_error": 0.1, "capped_fraction": 0.0, "seed": 3},
+        ("seed", 4),
+    ),
+    # j = 4: shifts 0..3 are legal
+    "ShiftedPair": (
+        bijections.ShiftedPair, {"bridge": (1, 1, -1, -1, -1, -1, 1, 1), "shift": 2}, ("shift", 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls, fields, change", RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable_values(cls, fields, change):
+    rec = cls(**fields)
+    same = cls(*fields.values())
+    assert rec == same and hash(rec) == hash(same)
+    assert {key: getattr(rec, key) for key in fields} == fields
+    key, value = change
+    assert rec != cls(**{**fields, key: value})
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is cls and back == rec
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_unpickling_revalidates_a_shifted_pair(monkeypatch, protocol):
+    pair = bijections.ShiftedPair((1, 1, -1, -1, -1, -1, 1, 1), 2)
+    data = pickle.dumps(pair, protocol)
+    real = bijections.first_irreducible_length
+    seen = []
+    monkeypatch.setattr(
+        bijections, "first_irreducible_length", lambda b: seen.append(b) or real(b)
+    )
+    assert pickle.loads(data) == pair
+    assert seen == [pair.bridge]
