@@ -23,6 +23,7 @@ from .bridges import (
     irreducible_decomposition,
     is_graphical_bridge,
     is_irreducible_bridge,
+    sample_uniform_graphical_bridge,
 )
 from .constants import (
     BoundedReal,
@@ -62,7 +63,6 @@ from .walks_mc import (
     McEstimate,
     WalkOutcome,
     estimate_zero_area_prob,
-    sample_uniform_graphical_bridge,
     simulate_stopped_walk,
 )
 

@@ -22,10 +22,10 @@ and, for a bridge, a nonzero sum.
 Graphical bridges are counted by one forward DP over (height, area)
 after each pair of increments, _packed_layers.  It is pruned to states
 whose area can still return to 0, by a closed form for the least area
-that the remaining pairs add (see _packed_layers).  It serves
+that the remaining pairs add (see _packed_layers).  It has two readers:
 graphical_bridge_counts, which reads its (0, 0) counts, and the exact
-sampler in walks_mc, which keeps its layers and draws backward from
-them.
+sampler sample_uniform_graphical_bridge, which keeps its layers and
+draws backward from them.
 
 The bridge DP and the two residue DPs (count_bridges_area_divisible
 here, count_paths_by_final_step in trees) pack each vector of counts
@@ -59,6 +59,7 @@ enumeration stays an independent check of the DP.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
@@ -69,6 +70,9 @@ Walk = tuple  # increments over {+1, -1}
 
 # increment pairs in lexicographic order with +1 < -1
 _PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# the sampler's pair order; it matters only for which bridge each
+# (n, seed) draws
+_DRAW_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 # the exhaustive oracles: count_bridges_area_divisible_bruteforce walks
 # all binomial(2n, n) bridges depth first, 0.26 s at n = 10, while the
@@ -84,6 +88,11 @@ RESIDUE_DP_CAP = 200
 # measured 0.07 s / 16 MB at n = 100, 0.45 s at 150 and 1.8-2.1 s / 27 MB
 # peak resident memory at 200 on a 2-core x86-64 host with Python 3.11
 BRIDGE_DP_CAP = 200
+# the sampler's kept table of bridge DP layers never grows past this
+# cap: its first draw at n = 100 measured 0.08-0.16 s and 32 MB peak
+# resident memory, later draws 0.3-0.9 ms, on a 2-core x86-64 host with
+# Python 3.11; at 200 the kept layers would hold about 540 MB
+SAMPLING_CAP = 100
 
 
 def _check_even_length(walk: Walk) -> None:
@@ -298,6 +307,74 @@ def graphical_bridge_counts(n_max: int) -> tuple:
     check_size("n_max", n_max, 0, BRIDGE_DP_CAP)
     low = (1 << field_width(n_max)) - 1
     return tuple(vecs[0] & low for vecs in _packed_layers(n_max))
+
+
+# the forward layers of the last table built, through at least the
+# largest n drawn so far: layer k holds the entries of layer k of
+# _packed_layers as little-endian bytes, one per half-height
+_layers: tuple = ()
+
+
+def _layers_through(n: int) -> tuple:
+    global _layers
+    if len(_layers) <= n:
+        # grown by a quarter, so an ascending session builds few tables;
+        # not doubled, as a build costs about n^4.3
+        grown = min(SAMPLING_CAP, max(n, (len(_layers) - 1) * 5 // 4))
+        _layers = tuple(
+            [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in vecs]
+            for vecs in _packed_layers(grown)
+        )
+    return _layers
+
+
+def sample_uniform_graphical_bridge(n: int, seed: int):
+    """Exactly uniform graphical bridge of length 2n.
+
+    Draws backward from the forward layers of _packed_layers.
+    Starting at (0, 0) in layer n, each increment pair is chosen with
+    weight equal to the layer k - 1 count of the state it starts from;
+    those weights sum to the layer k count of the current state, so
+    every bridge is drawn with probability 1 / b_n.  A count is one
+    whole-byte slice of its layer's bytes: field sigma of the entry at
+    half-height a.  Layers built for a larger n hold the same counts at
+    every state a draw can reach, so one table, built through at least
+    the largest n drawn so far, serves all smaller n and a draw depends
+    only on (n, seed).  The draws use integer ranges, so huge counts
+    lose no precision.
+    """
+    check_size("n", n, 0, SAMPLING_CAP)
+    check_size("seed", seed, 0)
+    layers = _layers_through(n)
+    size = field_width(len(layers) - 1) // 8
+    # bound once: int.from_bytes binds the class method on every lookup
+    read = int.from_bytes
+    rng = random.Random(seed)
+    pairs: list[tuple] = []
+    a = s = 0  # half-height and area
+    for k in range(n, 0, -1):
+        here = read(layers[k][a][s * size : (s + 1) * size], "little")
+        # the block into layer k added a to the area; a state with a
+        # nonzero count has s >= a, so the earlier area is never negative
+        s -= a
+        prev = layers[k - 1]
+        lo, hi = s * size, (s + 1) * size
+        # the pairs of _DRAW_PAIRS start from half-heights a - 1, a + 1, a, a
+        up = read(prev[a - 1][lo:hi], "little")
+        down = read(prev[a + 1][lo:hi], "little")
+        flat = read(prev[a][lo:hi], "little")
+        weights = (up, down, flat, flat)
+        total = sum(weights)
+        if total != here:
+            raise AssertionError(f"the layer {k - 1} weights do not sum to the layer {k} count")
+        pick = rng.randrange(total)
+        for pair, wt in zip(_DRAW_PAIRS, weights):
+            if pick < wt:
+                pairs.append(pair)
+                a -= (pair[0] + pair[1]) // 2
+                break
+            pick -= wt
+    return tuple(step for pair in reversed(pairs) for step in pair)
 
 
 def count_bridges_area_divisible(n: int) -> int:

@@ -1,5 +1,4 @@
-"""Monte Carlo estimation for the stopped lazy walk, plus exact uniform
-sampling of graphical bridges from the layers of the counting DP.
+"""Monte Carlo estimation for the stopped lazy walk.
 
 The lazy walk steps +1 or -1 with probability 1/4 each and stays put
 with probability 1/2, tracking the running area A_k = sum_{i<=k} Y_i.
@@ -14,7 +13,8 @@ substream, and the shares run concurrently on at most
 min(workers, shares, CPU count) forked processes.  A share reads its
 draws from its PCG64's raw 64-bit words, one byte per draw: the stream
 is exactly the one numpy's Generator.integers makes for int8 draws in
-[0, 4), at under half its cost (_draw).  Each share reads its own
+[0, 4), at about a quarter of its cost: 1.1-1.2 against 4.5-4.8 ns per
+draw (_draw; 2-core x86-64, numpy 2.4).  Each share reads its own
 int8 block of at most 4 MB of draws in cache-sized tiles: a share of
 250,000 walks peaks near 10 MiB of numpy memory (tracemalloc, horizon
 16), and a process near 47 MB resident, most of it numpy itself
@@ -23,11 +23,6 @@ sums over sub-blocks of 32 steps give the state at every sub-block
 boundary, and only the sub-blocks that a certificate on those states
 cannot rule out are stepped through one step at a time (proof in
 _scan_block).
-
-The sampler draws backward from the forward layers of
-bridges._packed_layers, the same kernel graphical_bridge_counts reads.
-It keeps each packed entry as its bytes and reads a count as one
-whole-byte slice, so no layer is ever unpacked.
 """
 
 from __future__ import annotations
@@ -39,17 +34,14 @@ import os
 import random
 from typing import NamedTuple
 
-from .bridges import _packed_layers, field_width
+# the exact sampler lives in bridges; the benchmark's sampler job
+# (bench/job.py) and its tracer (bench/tracer.TRACED) still read it here
+from .bridges import sample_uniform_graphical_bridge  # noqa: F401
 from .numtheory import check_size
 
 # numpy is imported inside the functions that use it, so that importing
 # the package does not load it
 
-# the sampler's kept table of bridge DP layers never grows past this
-# cap: its first draw at n = 100 measured 0.08-0.16 s and 32 MB peak
-# resident memory, later draws 0.3-0.9 ms, on a 2-core x86-64 host with
-# Python 3.11; at 200 the kept layers would hold about 540 MB
-SAMPLING_CAP = 100
 # elements per block of draws; it fixes how the stream is laid out, so
 # every count depends on it, while the tiles below bound the memory
 _BLOCK_BUDGET = 4_000_000
@@ -415,74 +407,3 @@ def estimate_zero_area_prob(
         seed=seed,
     )
 
-
-# ordering matters only for reproducibility of the sampler below
-_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-
-
-# the forward layers of the last table built, through at least the
-# largest n drawn so far: layer k holds the entries of layer k of
-# bridges._packed_layers as little-endian bytes, one per half-height
-_layers: tuple = ()
-
-
-def _layers_through(n: int) -> tuple:
-    global _layers
-    if len(_layers) <= n:
-        # grown by a quarter, so an ascending session builds few tables;
-        # not doubled, as a build costs about n^4.3
-        grown = min(SAMPLING_CAP, max(n, (len(_layers) - 1) * 5 // 4))
-        _layers = tuple(
-            [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in vecs]
-            for vecs in _packed_layers(grown)
-        )
-    return _layers
-
-
-def sample_uniform_graphical_bridge(n: int, seed: int):
-    """Exactly uniform graphical bridge of length 2n.
-
-    Draws backward from the forward layers of bridges._packed_layers.
-    Starting at (0, 0) in layer n, each increment pair is chosen with
-    weight equal to the layer k - 1 count of the state it starts from;
-    those weights sum to the layer k count of the current state, so
-    every bridge is drawn with probability 1 / b_n.  A count is one
-    whole-byte slice of its layer's bytes: field sigma of the entry at
-    half-height a.  Layers built for a larger n hold the same counts at
-    every state a draw can reach, so one table, built through at least
-    the largest n drawn so far, serves all smaller n and a draw depends
-    only on (n, seed).  The draws use integer ranges, so huge counts
-    lose no precision.
-    """
-    check_size("n", n, 0, SAMPLING_CAP)
-    check_size("seed", seed, 0)
-    layers = _layers_through(n)
-    size = field_width(len(layers) - 1) // 8
-    # bound once: int.from_bytes binds the class method on every lookup
-    read = int.from_bytes
-    rng = random.Random(seed)
-    pairs: list[tuple] = []
-    a = s = 0  # half-height and area
-    for k in range(n, 0, -1):
-        here = read(layers[k][a][s * size : (s + 1) * size], "little")
-        # the block into layer k added a to the area; a state with a
-        # nonzero count has s >= a, so the earlier area is never negative
-        s -= a
-        prev = layers[k - 1]
-        lo, hi = s * size, (s + 1) * size
-        # the pairs of _PAIRS start from half-heights a - 1, a + 1, a, a
-        up = read(prev[a - 1][lo:hi], "little")
-        down = read(prev[a + 1][lo:hi], "little")
-        flat = read(prev[a][lo:hi], "little")
-        weights = (up, down, flat, flat)
-        total = sum(weights)
-        if total != here:
-            raise AssertionError(f"the layer {k - 1} weights do not sum to the layer {k} count")
-        pick = rng.randrange(total)
-        for pair, wt in zip(_PAIRS, weights):
-            if pick < wt:
-                pairs.append(pair)
-                a -= (pair[0] + pair[1]) // 2
-                break
-            pick -= wt
-    return tuple(step for pair in reversed(pairs) for step in pair)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bijections, bridges, trees, walks_mc
+from treebridges import bijections, bridges, trees
 
 
 def test_first_irreducible_length():
@@ -100,7 +100,7 @@ def test_bridge_to_path_area_identity_exhaustive():
 
 @given(st.integers(2, 20), st.integers(0, 2**32 - 1))
 def test_bridge_to_path_round_trip_sampled(n, seed):
-    b = walks_mc.sample_uniform_graphical_bridge(n, seed)
+    b = bridges.sample_uniform_graphical_bridge(n, seed)
     path, ell = bijections.bridge_to_path(b)
     assert bijections.path_to_bridge(path) == b
     assert trees.path_area(path) == ell * n  # graphical bridges have area 0

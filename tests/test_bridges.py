@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from treebridges import bijections, bridges, series, trees, walks_mc
 
@@ -257,10 +262,10 @@ def _reference_draw(layers, n, seed):
     h = s = 0
     for k in range(n, 0, -1):
         s_prev = s - h // 2
-        weights = [layers[k - 1].get((h - x - y, s_prev), 0) for x, y in walks_mc._PAIRS]
+        weights = [layers[k - 1].get((h - x - y, s_prev), 0) for x, y in bridges._DRAW_PAIRS]
         assert sum(weights) == layers[k][h, s]
         pick = rng.randrange(sum(weights))
-        for pair, wt in zip(walks_mc._PAIRS, weights):
+        for pair, wt in zip(bridges._DRAW_PAIRS, weights):
             if pick < wt:
                 pairs.append(pair)
                 h -= pair[0] + pair[1]
@@ -273,17 +278,181 @@ def _reference_draw(layers, n, seed):
 def test_sampler_draws_are_the_dict_dp_draws(monkeypatch):
     # an ascending session draws from tables built for n and past it,
     # and a second pass draws every n from its last table, built for 33
-    monkeypatch.setattr(walks_mc, "_layers", ())
+    monkeypatch.setattr(bridges, "_layers", ())
     seeds = (0, 1, 7, 2024)
     expected = {}
     for n in range(31):
         layers = list(_dict_bridge_layers(n))
         for seed in seeds:
             expected[n, seed] = _reference_draw(layers, n, seed)
-            assert walks_mc.sample_uniform_graphical_bridge(n, seed) == expected[n, seed], (n, seed)
-    assert len(walks_mc._layers) == 34
+            assert bridges.sample_uniform_graphical_bridge(n, seed) == expected[n, seed], (n, seed)
+    assert len(bridges._layers) == 34
     for (n, seed), drawn in expected.items():
-        assert walks_mc.sample_uniform_graphical_bridge(n, seed) == drawn, (n, seed)
+        assert bridges.sample_uniform_graphical_bridge(n, seed) == drawn, (n, seed)
+
+
+def test_sampler_uniform_n1():
+    counts = Counter(
+        bridges.sample_uniform_graphical_bridge(1, seed) for seed in range(10_000)
+    )
+    assert set(counts) == {(1, -1), (-1, 1)}
+    for c in counts.values():
+        assert abs(c / 10_000 - 0.5) < 0.015  # 3 sigma
+
+
+def test_sampler_uniform_n5_chi_square(graphical_bridges_by_n):
+    rng = random.Random(31337)
+    draws = 100_000
+    counts = Counter(
+        bridges.sample_uniform_graphical_bridge(5, rng.getrandbits(64))
+        for _ in range(draws)
+    )
+    support = graphical_bridges_by_n[5]
+    assert set(counts) == set(support)
+    assert len(support) == 38
+    observed = [counts[b] for b in support]
+    result = stats.chisquare(observed)
+    assert result.pvalue > 0.001
+
+
+def test_sampler_support_n6_is_every_graphical_bridge():
+    rng = random.Random(6)
+    drawn = {
+        bridges.sample_uniform_graphical_bridge(6, rng.getrandbits(64)) for _ in range(3000)
+    }
+    assert drawn == set(bridges.enumerate_graphical_bridges(6))
+
+
+@pytest.mark.parametrize(
+    "n, seed, drawn",
+    [
+        (5, 0, "DUDUUDDUDU"),
+        (12, 7, "UDUUDDUDUUDUDDDDDUUDUUUD"),
+        (20, 1, "UUUDDDUDUUUUDDDDDUUDDUDUDUUDDDDDUUDUDUUU"),
+        (34, 123456, "DUUUDDUUDDUDUUDUDUUUUUUDDDDUDDUUDDUDDUDDDDUUDDDUDUDDDDUUDDUDUDUUUUUU"),
+    ],
+)
+def test_sampler_stream_is_pinned(n, seed, drawn):
+    # frozen so that a change to the sampler's checks or tables cannot
+    # silently change which bridge a (n, seed) pair draws
+    assert bridges.bridge_to_string(bridges.sample_uniform_graphical_bridge(n, seed)) == drawn
+
+
+def test_sampler_draw_does_not_depend_on_table_size(monkeypatch):
+    # layers built for a larger n hold the same weights for a smaller one
+    monkeypatch.setattr(bridges, "_layers", ())
+    own = [bridges.sample_uniform_graphical_bridge(14, seed) for seed in range(30)]
+    assert len(bridges._layers) == 15
+    bridges.sample_uniform_graphical_bridge(30, 0)
+    assert len(bridges._layers) == 31
+    assert [bridges.sample_uniform_graphical_bridge(14, seed) for seed in range(30)] == own
+
+
+def _spy_on_table_builds(monkeypatch) -> list:
+    builds = []
+    real = bridges._packed_layers
+
+    def spy(n_max):
+        builds.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(bridges, "_layers", ())
+    monkeypatch.setattr(bridges, "_packed_layers", spy)
+    return builds
+
+
+def test_ascending_sampler_session_grows_its_table(monkeypatch):
+    builds = _spy_on_table_builds(monkeypatch)
+    for n in range(20, 35):
+        assert bridges.is_graphical_bridge(bridges.sample_uniform_graphical_bridge(n, n))
+    # one table per n would be 15 builds
+    assert builds == [20, 25, 31, 38]
+
+
+def test_sampler_table_growth_stops_at_the_cap(monkeypatch):
+    builds = _spy_on_table_builds(monkeypatch)
+    monkeypatch.setattr(bridges, "SAMPLING_CAP", 30)
+    bridges.sample_uniform_graphical_bridge(28, 0)
+    bridges.sample_uniform_graphical_bridge(29, 0)
+    bridges.sample_uniform_graphical_bridge(30, 0)
+    assert builds == [28, 30]
+
+
+@pytest.mark.parametrize("layer", [0, -1])
+def test_sampler_self_check_catches_a_corrupt_count(layer, monkeypatch):
+    # one more walk at (0, 0) in the first layer breaks the sum at a
+    # draw's last step, in the last layer at its first
+    real = bridges._packed_layers
+
+    def corrupt(n_max):
+        layers = list(real(n_max))
+        layers[layer][0] += 1
+        return layers
+
+    monkeypatch.setattr(bridges, "_layers", ())
+    monkeypatch.setattr(bridges, "_packed_layers", corrupt)
+    for seed in range(5):
+        with pytest.raises(AssertionError, match="weights do not sum"):
+            bridges.sample_uniform_graphical_bridge(12, seed)
+
+
+def test_sampler_rejects_non_int():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            bridges.sample_uniform_graphical_bridge(bad, 0)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            bridges.sample_uniform_graphical_bridge(3, bad)
+
+
+def test_sampler_output_always_graphical():
+    for seed in range(200):
+        b = bridges.sample_uniform_graphical_bridge(12, seed)
+        assert len(b) == 24
+        assert bridges.is_graphical_bridge(b)
+
+
+def test_sampler_deterministic_and_capped():
+    assert bridges.sample_uniform_graphical_bridge(9, 77) == bridges.sample_uniform_graphical_bridge(9, 77)
+    assert bridges.sample_uniform_graphical_bridge(0, 5) == ()
+    with pytest.raises(ValueError):
+        bridges.sample_uniform_graphical_bridge(bridges.SAMPLING_CAP + 1, 0)
+
+
+def test_sampler_part_counts_match_exact_distribution():
+    n, draws = 20, 5000
+    exact = series.parts_count_distribution(n)
+    rng = random.Random(99)
+    counts = Counter(
+        len(bridges.irreducible_decomposition(bridges.sample_uniform_graphical_bridge(n, rng.getrandbits(64))))
+        for _ in range(draws)
+    )
+    for m, p in exact.items():
+        if p < 0.01:
+            continue
+        freq = counts[m] / draws
+        sigma = math.sqrt(float(p) * (1 - float(p)) / draws)
+        assert abs(freq - float(p)) <= 3 * sigma
+
+
+def test_the_exact_sampler_and_counts_do_not_load_numpy():
+    # the sampler and the bridge DP run on Python ints alone
+    script = (
+        "import sys\n"
+        "from treebridges import bridges\n"
+        "bridges.sample_uniform_graphical_bridge(30, 1)\n"
+        "bridges.graphical_bridge_counts(30)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_walks_mc_sampler_name_is_the_bridges_sampler():
+    # an alias, not a wrapper: a tracer that rebinds the walks_mc name
+    # wraps the one sampler
+    assert walks_mc.sample_uniform_graphical_bridge is bridges.sample_uniform_graphical_bridge
 
 
 def test_count_bridges_area_divisible_is_the_list_dp():

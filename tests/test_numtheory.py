@@ -103,7 +103,7 @@ BOUNDARY = {
     "estimate-seed": (lambda v: walks_mc.estimate_zero_area_prob(1, 1, v), "seed", 0, None),
     "simulate_stopped_walk": (lambda v: walks_mc.simulate_stopped_walk(v, 10), "seed", 0, None),
     "sample_uniform_graphical_bridge-seed": (
-        lambda v: walks_mc.sample_uniform_graphical_bridge(3, v), "seed", 0, None,
+        lambda v: bridges.sample_uniform_graphical_bridge(3, v), "seed", 0, None,
     ),
     "estimate-workers": (
         lambda v: walks_mc.estimate_zero_area_prob(1, 1, 0, workers=v), "workers", 1, None,

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from treebridges import bridges, series, walks_mc
 from treebridges.walks_mc import WalkOutcome
@@ -535,143 +534,3 @@ def test_vectorized_engine_agrees_with_scalar_engine():
     vector = walks_mc.estimate_zero_area_prob(2500, horizon, seed=2024)
     assert abs(scalar_p - vector.estimate) < 0.06
     assert abs(outcomes[WalkOutcome.CAPPED] / 2500 - vector.capped_fraction) < 0.06
-
-
-def test_sampler_uniform_n1():
-    counts = Counter(
-        walks_mc.sample_uniform_graphical_bridge(1, seed) for seed in range(10_000)
-    )
-    assert set(counts) == {(1, -1), (-1, 1)}
-    for c in counts.values():
-        assert abs(c / 10_000 - 0.5) < 0.015  # 3 sigma
-
-
-def test_sampler_uniform_n5_chi_square(graphical_bridges_by_n):
-    rng = random.Random(31337)
-    draws = 100_000
-    counts = Counter(
-        walks_mc.sample_uniform_graphical_bridge(5, rng.getrandbits(64))
-        for _ in range(draws)
-    )
-    support = graphical_bridges_by_n[5]
-    assert set(counts) == set(support)
-    assert len(support) == 38
-    observed = [counts[b] for b in support]
-    result = stats.chisquare(observed)
-    assert result.pvalue > 0.001
-
-
-def test_sampler_support_n6_is_every_graphical_bridge():
-    rng = random.Random(6)
-    drawn = {
-        walks_mc.sample_uniform_graphical_bridge(6, rng.getrandbits(64)) for _ in range(3000)
-    }
-    assert drawn == set(bridges.enumerate_graphical_bridges(6))
-
-
-@pytest.mark.parametrize(
-    "n, seed, drawn",
-    [
-        (5, 0, "DUDUUDDUDU"),
-        (12, 7, "UDUUDDUDUUDUDDDDDUUDUUUD"),
-        (20, 1, "UUUDDDUDUUUUDDDDDUUDDUDUDUUDDDDDUUDUDUUU"),
-        (34, 123456, "DUUUDDUUDDUDUUDUDUUUUUUDDDDUDDUUDDUDDUDDDDUUDDDUDUDDDDUUDDUDUDUUUUUU"),
-    ],
-)
-def test_sampler_stream_is_pinned(n, seed, drawn):
-    # frozen so that a change to the sampler's checks or tables cannot
-    # silently change which bridge a (n, seed) pair draws
-    assert bridges.bridge_to_string(walks_mc.sample_uniform_graphical_bridge(n, seed)) == drawn
-
-
-def test_sampler_draw_does_not_depend_on_table_size(monkeypatch):
-    # layers built for a larger n hold the same weights for a smaller one
-    monkeypatch.setattr(walks_mc, "_layers", ())
-    own = [walks_mc.sample_uniform_graphical_bridge(14, seed) for seed in range(30)]
-    assert len(walks_mc._layers) == 15
-    walks_mc.sample_uniform_graphical_bridge(30, 0)
-    assert len(walks_mc._layers) == 31
-    assert [walks_mc.sample_uniform_graphical_bridge(14, seed) for seed in range(30)] == own
-
-
-def _spy_on_table_builds(monkeypatch) -> list:
-    builds = []
-
-    def spy(n_max):
-        builds.append(n_max)
-        return bridges._packed_layers(n_max)
-
-    monkeypatch.setattr(walks_mc, "_layers", ())
-    monkeypatch.setattr(walks_mc, "_packed_layers", spy)
-    return builds
-
-
-def test_ascending_sampler_session_grows_its_table(monkeypatch):
-    builds = _spy_on_table_builds(monkeypatch)
-    for n in range(20, 35):
-        assert bridges.is_graphical_bridge(walks_mc.sample_uniform_graphical_bridge(n, n))
-    # one table per n would be 15 builds
-    assert builds == [20, 25, 31, 38]
-
-
-def test_sampler_table_growth_stops_at_the_cap(monkeypatch):
-    builds = _spy_on_table_builds(monkeypatch)
-    monkeypatch.setattr(walks_mc, "SAMPLING_CAP", 30)
-    walks_mc.sample_uniform_graphical_bridge(28, 0)
-    walks_mc.sample_uniform_graphical_bridge(29, 0)
-    walks_mc.sample_uniform_graphical_bridge(30, 0)
-    assert builds == [28, 30]
-
-
-@pytest.mark.parametrize("layer", [0, -1])
-def test_sampler_self_check_catches_a_corrupt_count(layer, monkeypatch):
-    # one more walk at (0, 0) in the first layer breaks the sum at a
-    # draw's last step, in the last layer at its first
-    def corrupt(n_max):
-        layers = list(bridges._packed_layers(n_max))
-        layers[layer][0] += 1
-        return layers
-
-    monkeypatch.setattr(walks_mc, "_layers", ())
-    monkeypatch.setattr(walks_mc, "_packed_layers", corrupt)
-    for seed in range(5):
-        with pytest.raises(AssertionError, match="weights do not sum"):
-            walks_mc.sample_uniform_graphical_bridge(12, seed)
-
-
-def test_sampler_rejects_non_int():
-    for bad in (True, 2.0, "3"):
-        with pytest.raises(TypeError, match="n must be an int"):
-            walks_mc.sample_uniform_graphical_bridge(bad, 0)
-        with pytest.raises(TypeError, match="seed must be an int"):
-            walks_mc.sample_uniform_graphical_bridge(3, bad)
-
-
-def test_sampler_output_always_graphical():
-    for seed in range(200):
-        b = walks_mc.sample_uniform_graphical_bridge(12, seed)
-        assert len(b) == 24
-        assert bridges.is_graphical_bridge(b)
-
-
-def test_sampler_deterministic_and_capped():
-    assert walks_mc.sample_uniform_graphical_bridge(9, 77) == walks_mc.sample_uniform_graphical_bridge(9, 77)
-    assert walks_mc.sample_uniform_graphical_bridge(0, 5) == ()
-    with pytest.raises(ValueError):
-        walks_mc.sample_uniform_graphical_bridge(walks_mc.SAMPLING_CAP + 1, 0)
-
-
-def test_sampler_part_counts_match_exact_distribution():
-    n, draws = 20, 5000
-    exact = series.parts_count_distribution(n)
-    rng = random.Random(99)
-    counts = Counter(
-        len(bridges.irreducible_decomposition(walks_mc.sample_uniform_graphical_bridge(n, rng.getrandbits(64))))
-        for _ in range(draws)
-    )
-    for m, p in exact.items():
-        if p < 0.01:
-            continue
-        freq = counts[m] / draws
-        sigma = math.sqrt(float(p) * (1 - float(p)) / draws)
-        assert abs(freq - float(p)) <= 3 * sigma
