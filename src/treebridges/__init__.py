@@ -6,6 +6,8 @@ enters only in the constants module, and there every value carries an
 explicit error bound.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bijections import (
     ShiftedPair,
     bridge_to_path,
@@ -68,50 +70,8 @@ from .walks_mc import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundedReal",
-    "McEstimate",
-    "ShiftedPair",
-    "WalkOutcome",
-    "all_graph_degree_sequences",
-    "bridge_counts_from_trees",
-    "bridge_to_path",
-    "count_bridges_area_divisible",
-    "count_graphical_sequences",
-    "count_growth_constant",
-    "count_paths_area_divisible",
-    "count_paths_by_final_step",
-    "diamond_area",
-    "enumerate_graphical_bridges",
-    "enumerate_shifted_pairs",
-    "estimate_zero_area_prob",
-    "exact_zero_area_prob",
-    "first_irreducible_length",
-    "gamma_prefactor",
-    "gamma_three_quarters",
-    "graphical_bridge_counts",
-    "graphical_sequence_counts",
-    "inverse_log_transform",
-    "irreducible_bridge_counts",
-    "irreducible_decomposition",
-    "is_graphical_bridge",
-    "is_graphical_sequence",
-    "is_irreducible_bridge",
-    "log_transform",
-    "mean_inverse_parts",
-    "parts_count_distribution",
-    "parts_negbin_tv_distance",
-    "path_area",
-    "path_to_bridge",
-    "plane_tree_count",
-    "plane_tree_counts",
-    "ratio_table",
-    "run_suite",
-    "sample_uniform_graphical_bridge",
-    "shift_bridge",
-    "simulate_stopped_walk",
-    "tree_series",
-    "unshift_bridge",
-    "xi",
-    "zero_sum_multisets",
-]
+# every public function and class imported above; the submodules that
+# those imports bind are left out
+__all__ = sorted(
+    k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType)
+)

@@ -20,62 +20,62 @@ from . import constants, graphseq, series, trees, verify, walks_mc
 # csv and json are imported inside the commands that print them, so that
 # a cold command loads neither unless its output needs it
 
-# the largest n-max each table accepts, checked before any work.  T(n)
-# passes the interpreter's 4,300-digit limit on int-to-str conversion
-# near n = 7,140; at 7,000 the table takes 1.5-1.8 s and prints 15 MB,
-# and 2T(7,000), the last N and Nprime value, has 4,209 digits.
-# The M triangle has about n^2/2 entries, each a divisor sum: 3.5-3.9 s,
-# 49 MB peak resident memory and 16.8 MB of CSV at 500 (1.1 s and 3.7 MB
-# at 300).  Measured on a 2-core x86-64 host with Python 3.11.
-_TABLE_CAPS = {
-    "T": 7000,
-    "B": series.BRIDGE_TABLE_CAP,
-    "M": 500,
-    "N": 7000,
-    "Nprime": 7000,
-    "G": graphseq.COUNT_CAP,
-    "irreducible": series.BRIDGE_TABLE_CAP,
-}
-
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def _table_rows(which: str, n_max: int):
-    """Header and rows for one table."""
-    if which == "B":
-        vals = series.bridge_counts_from_trees(n_max)
-        return ("n", "value"), [(n, vals[n]) for n in range(n_max + 1)]
-    if which in ("T", "N", "Nprime"):
-        # N(n) = N'(n) = 2T(n); the residue DPs are only the oracles
-        times = 1 if which == "T" else 2
-        vals = trees.plane_tree_counts(n_max)
-        return ("n", "value"), [(n, times * vals[n]) for n in range(1, n_max + 1)]
-    if which == "M":
-        rows = [
-            (n, k, trees.zero_sum_multisets(n, k))
-            for n in range(1, n_max + 1)
-            for k in range(n + 1)
-        ]
-        return ("n", "k", "value"), rows
-    if which == "G":
-        vals = graphseq.graphical_sequence_counts(n_max)
-        return ("n", "value"), [(n, vals[n]) for n in range(1, n_max + 1)]
-    if which == "irreducible":
-        irr = series.irreducible_bridge_counts(series.bridge_counts_from_trees(n_max))
-        return ("n", "value"), [(n, irr[n]) for n in range(1, n_max + 1)]
-    raise ValueError(f"unknown table {which!r}")
+def _by_n(vals, start: int = 1):
+    """Header and rows of a table with one value per n >= start."""
+    return ("n", "value"), [(n, vals[n]) for n in range(start, len(vals))]
+
+
+def _multisets(n_max: int):
+    """Header and rows of the M triangle, one row per 0 <= k <= n."""
+    rows = [
+        (n, k, trees.zero_sum_multisets(n, k))
+        for n in range(1, n_max + 1)
+        for k in range(n + 1)
+    ]
+    return ("n", "k", "value"), rows
+
+
+def _twice_trees(n_max: int):
+    # N(n) = N'(n) = 2T(n); the residue DPs are only the oracles
+    return _by_n([2 * t for t in trees.plane_tree_counts(n_max)])
+
+
+# table -> (least n-max, cap, header and rows for an n-max), every bound
+# checked before any work.  T(n) passes the interpreter's 4,300-digit
+# limit on int-to-str conversion near n = 7,140; at 7,000 the table takes
+# 1.5-1.8 s and prints 15 MB, and 2T(7,000), the last N and Nprime value,
+# has 4,209 digits.  The M triangle has about n^2/2 entries, each a
+# divisor sum: 3.5-3.9 s, 49 MB peak resident memory and 16.8 MB of CSV
+# at 500 (1.1 s and 3.7 MB at 300).  Measured on a 2-core x86-64 host
+# with Python 3.11.
+_TABLES = {
+    "T": (1, 7000, lambda n: _by_n(trees.plane_tree_counts(n))),
+    "B": (0, series.BRIDGE_TABLE_CAP, lambda n: _by_n(series.bridge_counts_from_trees(n), 0)),
+    "M": (1, 500, _multisets),
+    "N": (1, 7000, _twice_trees),
+    "Nprime": (1, 7000, _twice_trees),
+    "G": (1, graphseq.COUNT_CAP, lambda n: _by_n(graphseq.graphical_sequence_counts(n))),
+    "irreducible": (
+        1,
+        series.BRIDGE_TABLE_CAP,
+        lambda n: _by_n(series.irreducible_bridge_counts(series.bridge_counts_from_trees(n))),
+    ),
+}
 
 
 def cmd_tables(args) -> int:
-    if args.n_max < 0 or (args.which != "B" and args.n_max < 1):
+    least, cap, table = _TABLES[args.which]
+    if args.n_max < least:
         return _usage_error(f"n-max too small for table {args.which}: {args.n_max}")
-    cap = _TABLE_CAPS[args.which]
     if args.n_max > cap:
         return _usage_error(f"table {args.which} is capped at n = {cap}, got {args.n_max}")
-    header, rows = _table_rows(args.which, args.n_max)
+    header, rows = table(args.n_max)
     if args.format == "csv":
         import csv
 
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", help="print one exact integer table")
-    p_tables.add_argument("--which", required=True, choices=tuple(_TABLE_CAPS))
+    p_tables.add_argument("--which", required=True, choices=tuple(_TABLES))
     p_tables.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_tables.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tables.set_defaults(func=cmd_tables)

@@ -1,8 +1,10 @@
 """Self-contained consistency batteries.
 
-Each check recomputes a fact two independent ways and compares.  They
-are deliberately cheap enough to run from the command line; the test
-suite runs the same batteries plus heavier one-off oracles.
+Most checks recompute a fact two independent ways and compare; the
+growth-constant check instead tests that three constants built on the
+same xi cohere.  They are deliberately cheap enough to run from the
+command line; the test suite runs the same batteries plus heavier
+one-off oracles.
 """
 
 from __future__ import annotations
@@ -10,21 +12,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bijections, bridges, constants, graphseq, series, trees
+from .bridges import BRIDGE_DP_CAP, ENUMERATION_CAP
+from .graphseq import ORACLE_CAP
 from .numtheory import check_size
 
 Check = tuple[str, bool, str]  # (title, passed, detail)
 Outcome = tuple[bool, str]  # what a check returns: (passed, detail)
 
+# suite name -> (check, depth ceiling) pairs, in definition order
+SUITES: dict[str, tuple] = {}
 
-def _titled(title: str):
-    """Give a check the name that its line prints, whether it passes,
-    fails or raises."""
 
-    def mark(check):
+def _check(suite: str, ceiling: int | None, title: str):
+    """Add the check to a suite, after those defined above it.
+
+    The check's line prints title, whether it passes, fails or raises.
+    The ceiling clamps --n-max: the library cap the check meets, so that
+    a big --n-max clamps instead of raising, or else a time budget; None
+    if the check takes no depth argument."""
+
+    def register(check):
         check.title = title
+        SUITES[suite] = (*SUITES.get(suite, ()), (check, ceiling))
         return check
 
-    return mark
+    return register
 
 
 def _each_n(n_max: int, fails, start: int = 1, also: str = "") -> Outcome:
@@ -34,21 +46,23 @@ def _each_n(n_max: int, fails, start: int = 1, also: str = "") -> Outcome:
     return not bad, detail
 
 
-@_titled("log transform of bridge counts doubles tree counts")
+@_check("logtransform", BRIDGE_DP_CAP, "log transform of bridge counts doubles tree counts")
 def check_log_transform_doubles_tree_counts(n_max: int = 24) -> Outcome:
     star = series.log_transform(list(bridges.graphical_bridge_counts(n_max)))
     t = trees.plane_tree_counts(n_max)
     return _each_n(n_max, lambda n: star[n - 1] != 2 * t[n])
 
 
-@_titled("mean inverse part count times n B_n gives twice the tree count")
+@_check("logtransform", 80, "mean inverse part count times n B_n gives twice the tree count")
 def check_mean_inverse_parts_identity(n_max: int = 24) -> Outcome:
     b = bridges.graphical_bridge_counts(n_max)
     t = trees.plane_tree_counts(n_max)
     return _each_n(n_max, lambda n: series.mean_inverse_parts(n) * n * b[n] != 2 * t[n])
 
 
-@_titled("irreducible counts from series inversion match enumeration")
+@_check(
+    "logtransform", ENUMERATION_CAP, "irreducible counts from series inversion match enumeration"
+)
 def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Outcome:
     fromseries = series.irreducible_bridge_counts(list(bridges.graphical_bridge_counts(n_max)))
     return _each_n(
@@ -62,7 +76,7 @@ def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Outcome:
     )
 
 
-@_titled("part count distribution sums to one exactly")
+@_check("logtransform", 60, "part count distribution sums to one exactly")
 def check_parts_distribution_normalized(n_max: int = 20) -> Outcome:
     return _each_n(
         n_max,
@@ -70,7 +84,7 @@ def check_parts_distribution_normalized(n_max: int = 20) -> Outcome:
     )
 
 
-@_titled("distance from part counts to the shifted negative binomial shrinks")
+@_check("logtransform", 80, "distance from part counts to the shifted negative binomial shrinks")
 def check_negbin_distance_shrinks(n_max: int = 40) -> Outcome:
     small = 10
     large = max(20, n_max)
@@ -80,7 +94,7 @@ def check_negbin_distance_shrinks(n_max: int = 40) -> Outcome:
     return ok, f"tv({small}) = {d_small:.4f}, tv({large}) = {d_large:.4f}"
 
 
-@_titled("path map round trips on every graphical bridge")
+@_check("bijections", 9, "path map round trips on every graphical bridge")
 def check_path_map_roundtrip(n_max: int = 6) -> Outcome:
     seen = 0
     for n in range(1, n_max + 1):
@@ -95,7 +109,7 @@ def check_path_map_roundtrip(n_max: int = 6) -> Outcome:
     return True, f"{seen} bridges, n <= {n_max}, exact area bookkeeping"
 
 
-@_titled("shift map is a bijection onto balanced divisible-area walks")
+@_check("bijections", 8, "shift map is a bijection onto balanced divisible-area walks")
 def check_shift_map_bijection(n_max: int = 6) -> Outcome:
     def fails(n: int) -> bool:
         images = set()
@@ -109,13 +123,13 @@ def check_shift_map_bijection(n_max: int = 6) -> Outcome:
     return _each_n(n_max, fails, also=" with explicit inverses")
 
 
-@_titled("divisible-area path counts equal tree counts by final step")
+@_check("lemmas", 100, "divisible-area path counts equal tree counts by final step")
 def check_path_count_identity(n_max: int = 30) -> Outcome:
     t = trees.plane_tree_counts(n_max)
     return _each_n(n_max, lambda n: trees.count_paths_by_final_step(n) != (t[n], t[n]))
 
 
-@_titled("divisible-area walk counts match divisible-area path counts")
+@_check("lemmas", 100, "divisible-area walk counts match divisible-area path counts")
 def check_bridge_walk_counts_agree(n_max: int = 30) -> Outcome:
     return _each_n(
         n_max,
@@ -124,7 +138,7 @@ def check_bridge_walk_counts_agree(n_max: int = 30) -> Outcome:
     )
 
 
-@_titled("growth constant, stopping probability and gamma prefactor cohere")
+@_check("lemmas", None, "growth constant, stopping probability and gamma prefactor cohere")
 def check_growth_constant_consistency() -> Outcome:
     c = constants.count_growth_constant()
     rho = constants.exact_zero_area_prob()
@@ -135,7 +149,7 @@ def check_growth_constant_consistency() -> Outcome:
     return ok, f"C sqrt(1 - rho) in [{lo:.12f}, {hi:.12f}]"
 
 
-@_titled("bridge counting recursion matches exhaustive enumeration")
+@_check("oracles", 9, "bridge counting recursion matches exhaustive enumeration")
 def check_bridge_counts_match_enumeration(n_max: int = 7) -> Outcome:
     counts = bridges.graphical_bridge_counts(n_max)
     return _each_n(
@@ -145,7 +159,7 @@ def check_bridge_counts_match_enumeration(n_max: int = 7) -> Outcome:
     )
 
 
-@_titled("graphical sequence counts match degree sequences of actual graphs")
+@_check("oracles", ORACLE_CAP, "graphical sequence counts match degree sequences of actual graphs")
 def check_degree_sequence_oracle(n_max: int = 6) -> Outcome:
     return _each_n(
         n_max,
@@ -154,7 +168,7 @@ def check_degree_sequence_oracle(n_max: int = 6) -> Outcome:
     )
 
 
-@_titled("zero-sum multiset formula matches direct enumeration")
+@_check("oracles", 9, "zero-sum multiset formula matches direct enumeration")
 def check_multiset_formula(n_max: int = 7) -> Outcome:
     k_max = 6
     return _each_n(
@@ -165,34 +179,6 @@ def check_multiset_formula(n_max: int = 7) -> Outcome:
         ),
         also=f", k <= {k_max}",
     )
-
-
-# (check, depth ceiling); None means the check takes no depth argument.
-# The ceiling keeps a big --n-max from turning an exhaustive battery
-# into an overnight job.
-SUITES: dict[str, tuple] = {
-    "logtransform": (
-        (check_log_transform_doubles_tree_counts, 200),
-        (check_mean_inverse_parts_identity, 80),
-        (check_irreducible_counts_match_enumeration, 10),
-        (check_parts_distribution_normalized, 60),
-        (check_negbin_distance_shrinks, 80),
-    ),
-    "bijections": (
-        (check_path_map_roundtrip, 9),
-        (check_shift_map_bijection, 8),
-    ),
-    "lemmas": (
-        (check_path_count_identity, 100),
-        (check_bridge_walk_counts_agree, 100),
-        (check_growth_constant_consistency, None),
-    ),
-    "oracles": (
-        (check_bridge_counts_match_enumeration, 9),
-        (check_degree_sequence_oracle, 6),
-        (check_multiset_formula, 9),
-    ),
-}
 
 
 def run_suite(name: str, n_max: int | None = None) -> list[Check]:

@@ -67,7 +67,7 @@ def test_bridge_tables_cap_is_a_usage_error(capsys):
 def test_tree_table_cap_is_a_usage_error(capsys):
     # T, and N and Nprime as 2T, all read the tree sieve
     for which, factor in (("T", 1), ("N", 2), ("Nprime", 2)):
-        cap = cli._TABLE_CAPS[which]
+        cap = cli._TABLES[which][1]
         # the last printed value stays inside the int-to-str digit limit
         str(factor * trees.plane_tree_counts(cap)[cap])
         code, out, err = run_cli(
@@ -79,11 +79,40 @@ def test_tree_table_cap_is_a_usage_error(capsys):
 
 
 def test_multiset_table_cap_is_a_usage_error(capsys):
-    cap = cli._TABLE_CAPS["M"]
+    cap = cli._TABLES["M"][1]
     code, out, err = run_cli(capsys, "tables", "--which", "M", "--n-max", str(cap + 1))
     assert code == 2
     assert out == ""
     assert "capped" in err and str(cap) in err
+
+
+# each table's least n-max and the first row it prints there
+FIRST_ROWS = {
+    "T": (1, "1,1"),
+    "B": (0, "0,1"),
+    "M": (1, "1,0,1"),
+    "N": (1, "1,2"),
+    "Nprime": (1, "1,2"),
+    "G": (1, "1,1"),
+    "irreducible": (1, "1,2"),
+}
+
+
+@pytest.mark.parametrize("which", list(FIRST_ROWS))
+def test_table_lower_bound(capsys, which):
+    least, first = FIRST_ROWS[which]
+    assert cli._TABLES[which][0] == least
+    code, out, err = run_cli(capsys, "tables", "--which", which, "--n-max", str(least - 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n-max too small for table {which}: {least - 1}\n"
+    code, out, _ = run_cli(capsys, "tables", "--which", which, "--n-max", str(least))
+    assert code == 0
+    assert out.splitlines()[1] == first
+
+
+def test_tables_keep_their_order():
+    assert list(cli._TABLES) == list(FIRST_ROWS)
 
 
 def _table_values(capsys, which, n_max):
