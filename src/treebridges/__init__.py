@@ -1,9 +1,9 @@
 """Exact combinatorics of plane trees, graphical bridges and graphical
 degree sequences, with the limit constants tying them together.
 
-Everything integer-valued is exact (int or Fraction); floating point
-enters only in the constants module, and there every value carries an
-explicit error bound.
+Everything integer-valued is exact (int or Fraction).  The constants
+module's floats carry explicit error bounds; ratio_table,
+parts_negbin_tv_distance and the Monte Carlo estimate are plain floats.
 """
 
 from types import ModuleType as _ModuleType

@@ -380,31 +380,31 @@ def sample_uniform_graphical_bridge(n: int, seed: int):
 def count_bridges_area_divisible(n: int) -> int:
     """Bridges of length 2n whose diamond area is divisible by n (DP).
 
-    One packed int per half-height h holds the counts by area mod n, n
-    fields of field_width(n) bits, residue r in field r.  A block moves
-    h by +1, -1 or 0 (the last in two ways), then adds the new h to the
-    area, which rotates the fields by h: a shift left by h mod n fields,
-    the fields pushed past n folded back to the bottom.  After k blocks
-    only |h| <= n - k can still return to 0.  No sign constraint on the
-    area, so this counts all bridges, not just graphical ones.  No field
-    carries: each counts walks of 2k <= 2n steps, at most 4^n.  This is
-    the oracle for N'(n) = 2T(n) and never reads the tree sieve; the
-    Nprime table reads 2 * plane_tree_counts instead.
+    One packed int per half-height h, in _packed_layers' list layout,
+    holds the counts by area mod n, n fields of field_width(n) bits,
+    residue r in field r.  A block moves h by +1, -1 or 0 (the last in
+    two ways), then adds the new h to the area, which rotates the fields
+    by h: a shift left by h mod n fields, the fields pushed past n
+    folded back to the bottom.  After k blocks only |h| <= n - k can
+    still return to 0.  No sign constraint on the area, so this counts
+    all bridges, not just graphical ones.  No field carries: each counts
+    walks of 2k <= 2n steps, at most 4^n.  This is the oracle for
+    N'(n) = 2T(n) and never reads the tree sieve; the Nprime table reads
+    2 * plane_tree_counts instead.
     """
     check_size("n", n, 1, RESIDUE_DP_CAP)
     w = field_width(n)
     span = n * w
     full = (1 << span) - 1
-    vecs = [1]  # half-heights -top, ..., top
+    vecs = [0] * (2 * n + 3)  # half-heights -n - 1, ..., n + 1
+    vecs[0] = 1
     for k in range(1, n + 1):
-        top = min(k, n - k)
-        pad = [0] * (top - len(vecs) // 2 + 1)
-        padded = pad + vecs + pad
-        vecs = []
+        top = min(k, n - k)  # reachable and still able to return to 0
+        nxt = [0] * len(vecs)
         for h in range(-top, top + 1):
-            below, here, above = padded[h + top : h + top + 3]
-            v = (below + (here << 1) + above) << (h % n) * w
-            vecs.append((v & full) | (v >> span))
+            v = (vecs[h - 1] + (vecs[h] << 1) + vecs[h + 1]) << (h % n) * w
+            nxt[h] = (v & full) | (v >> span)
+        vecs = nxt
     return vecs[0] & ((1 << w) - 1)
 
 

@@ -48,18 +48,19 @@ def _twice_trees(n_max: int):
 
 # table -> (least n-max, cap, header and rows for an n-max), every bound
 # checked before any work.  T(n) passes the interpreter's 4,300-digit
-# limit on int-to-str conversion near n = 7,140; at 7,000 the table takes
-# 1.5-1.8 s and prints 15 MB, and 2T(7,000), the last N and Nprime value,
-# has 4,209 digits.  The M triangle has about n^2/2 entries, each a
-# divisor sum: 3.5-3.9 s, 49 MB peak resident memory and 16.8 MB of CSV
-# at 500 (1.1 s and 3.7 MB at 300).  Measured on a 2-core x86-64 host
-# with Python 3.11.
+# limit on int-to-str conversion near n = 7,140; at 7,000, the cap of
+# the T, N and Nprime tables, the T table takes 1.5-1.8 s and prints
+# 15 MB, and 2T(7,000), the last N and Nprime value, has 4,209 digits.
+# The M triangle has about n^2/2 entries, each a divisor sum: 3.5-3.9 s,
+# 49 MB peak resident memory and 16.8 MB of CSV at 500 (1.1 s and 3.7 MB
+# at 300).  Measured on a 2-core x86-64 host with Python 3.11.
+_TREE_TABLE_CAP = 7000
 _TABLES = {
-    "T": (1, 7000, lambda n: _by_n(trees.plane_tree_counts(n))),
+    "T": (1, _TREE_TABLE_CAP, lambda n: _by_n(trees.plane_tree_counts(n))),
     "B": (0, series.BRIDGE_TABLE_CAP, lambda n: _by_n(series.bridge_counts_from_trees(n), 0)),
     "M": (1, 500, _multisets),
-    "N": (1, 7000, _twice_trees),
-    "Nprime": (1, 7000, _twice_trees),
+    "N": (1, _TREE_TABLE_CAP, _twice_trees),
+    "Nprime": (1, _TREE_TABLE_CAP, _twice_trees),
     "G": (1, graphseq.COUNT_CAP, lambda n: _by_n(graphseq.graphical_sequence_counts(n))),
     "irreducible": (
         1,
@@ -145,12 +146,10 @@ def cmd_rho_mc(args) -> int:
         return _usage_error(str(exc))
     import json
 
+    # the record's own fields, in order; JSON has no NaN, so it prints null
     payload = {
-        "estimate": None if math.isnan(est.estimate) else est.estimate,
-        "samples": est.samples,
-        "std_error": None if math.isnan(est.std_error) else est.std_error,
-        "capped_fraction": est.capped_fraction,
-        "seed": est.seed,
+        key: None if isinstance(v, float) and math.isnan(v) else v
+        for key, v in est._asdict().items()
     }
     print(json.dumps(payload, indent=2))
     return 0

@@ -42,12 +42,13 @@ from .numtheory import check_size
 # numpy is imported inside the functions that use it, so that importing
 # the package does not load it
 
-# elements per block of draws; it fixes how the stream is laid out, so
-# every count depends on it, while the tiles below bound the memory
+# draws per block, and the fewest steps per block: they fix every stream's
+# layout, so every count depends on them, and cap a share at 250,000 walks
 _BLOCK_BUDGET = 4_000_000
+_MIN_WIDTH = 16
 # elements per tile of the block scan: its two int64 running sums take
 # 1 MiB where a tile is stepped through whole
-_TILE = 1 << 16
+_TILE = 65_536
 # steps per sub-block of the two-level tile scan in _scan_block, the
 # fastest of 8, 16, 32 and 64
 _SUB = 32
@@ -318,7 +319,7 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
     zero = negative = 0
     done = 0
     while y.size and done < horizon:
-        width = min(max(16, _BLOCK_BUDGET // y.size), horizon - done)
+        width = min(max(_MIN_WIDTH, _BLOCK_BUDGET // y.size), horizon - done)
         u = _draw(bit_gen, np.empty((y.size, width), dtype=np.int8))
         z, ng, alive = _scan_block(u, y, area)
         zero += z
@@ -350,12 +351,12 @@ def estimate_zero_area_prob(
     which falls only like horizon^(-1/4).
 
     Deterministic for fixed (samples, horizon, seed, workers): the
-    samples are split into min(samples, max(workers, ceil(16 samples /
-    _BLOCK_BUDGET))) near-equal shares, at most 250,000 walks each so
-    that a first block of 16 steps fits the budget, and share w runs on
-    the substream spawned from (seed, w).  The shares run concurrently
-    on procs = min(workers, shares, os.cpu_count()) processes forked
-    from this one, each holding its own int8 block of at most 4 MB and
+    samples are split into min(samples, max(workers, ceil(_MIN_WIDTH *
+    samples / _BLOCK_BUDGET))) near-equal shares, each small enough that
+    its first block fits the budget, and share w runs on the substream
+    spawned from (seed, w).  The shares run concurrently on procs =
+    min(workers, shares, os.cpu_count()) processes forked from this
+    one, each holding its own int8 block of at most 4 MB and
     peaking near 10 MiB of numpy memory; the counts are integer sums, so
     they do not depend on procs.  With one process, or where the fork
     start method does not exist, the shares run in this process.  A
@@ -371,7 +372,7 @@ def estimate_zero_area_prob(
     # numpy's SeedSequence rejects negative entropy
     check_size("seed", seed, 0)
     check_size("workers", workers, 1)
-    shares = min(samples, max(workers, math.ceil(samples * 16 / _BLOCK_BUDGET)))
+    shares = min(samples, max(workers, math.ceil(samples * _MIN_WIDTH / _BLOCK_BUDGET)))
     procs = min(workers, shares, os.cpu_count() or 1)
     if procs > 1:
         import multiprocessing

@@ -50,6 +50,8 @@ def test_enumerate_shifted_pairs_count(graphical_bridges_by_n):
         pairs = list(bijections.enumerate_shifted_pairs(n))
         assert len(pairs) == 2 * trees.plane_tree_count(n)
         assert len(set(pairs)) == len(pairs)
+    # the empty bridge has no first irreducible part to shift within
+    assert list(bijections.enumerate_shifted_pairs(0)) == []
 
 
 def test_shift_bridge_rotates_left(graphical_bridges_by_n):
@@ -87,6 +89,8 @@ def test_unshift_rejects_bad_area():
     # diamond area 1 is not divisible by 2
     with pytest.raises(ValueError):
         bijections.unshift_bridge((1, 1, -1, -1))
+    with pytest.raises(ValueError, match="needs a nonempty bridge"):
+        bijections.unshift_bridge(())
 
 
 def test_bridge_to_path_area_identity_exhaustive():

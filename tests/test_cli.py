@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from treebridges import bridges, cli, constants, graphseq, series, trees
+from treebridges import bridges, cli, constants, graphseq, series, trees, walks_mc
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +350,23 @@ def test_rho_mc_json_and_determinism(capsys):
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert first == second
+
+
+def test_rho_mc_prints_its_record_with_nan_as_null(capsys):
+    # the one walk of seed 1 moves at its one step, so none stops
+    code, out, _ = run_cli(capsys, "rho-mc", "--samples", "1", "--horizon", "1", "--seed", "1")
+    assert code == 0
+    assert out == (
+        '{\n  "estimate": null,\n  "samples": 1,\n  "std_error": null,\n'
+        '  "capped_fraction": 1.0,\n  "seed": 1\n}\n'
+    )
+    assert tuple(json.loads(out)) == walks_mc.McEstimate._fields
+    # an int field too large for a float prints as it is
+    seed = 10**400
+    args = ("rho-mc", "--samples", "1", "--horizon", "1", "--seed", str(seed))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["seed"] == seed
 
 
 def test_rho_mc_validation(capsys):

@@ -34,11 +34,11 @@ def test_is_graphical_sequence_rejections():
 
 
 def test_is_graphical_sequence_validation():
-    with pytest.raises(ValueError):
-        graphseq.is_graphical_sequence((2, 1))  # not sorted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-decreasing"):
+        graphseq.is_graphical_sequence((1, 0))  # in range, not sorted
+    with pytest.raises(ValueError, match="degree is capped at 1, got 3"):
         graphseq.is_graphical_sequence((1, 3))  # entry exceeds n - 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
         graphseq.is_graphical_sequence((-1, 1))
 
 

@@ -43,6 +43,12 @@ def test_irreducible_bridge_counts_frozen_row():
     assert series.irreducible_bridge_counts(b) == IRREDUCIBLE_ROW
 
 
+def test_irreducible_bridge_counts_need_b0_one():
+    for b in ([2, 1], []):
+        with pytest.raises(ValueError, match=r"needs b\[0\] = 1"):
+            series.irreducible_bridge_counts(b)
+
+
 def test_irreducible_counts_nonnegative_far_out():
     b = list(bridges.graphical_bridge_counts(60))
     assert all(i >= 0 for i in series.irreducible_bridge_counts(b))

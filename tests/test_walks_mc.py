@@ -155,11 +155,12 @@ def test_increment_map_is_the_step_table():
 # and 4 from a fresh word, each of 1, 2 and 3 right after a call that
 # left a high half unused, 12 after one (the carried half, then one whole
 # word), one size past a chunk of raw words, and blocks of the shapes
-# _run_worker asks for, with and without a carried half
+# _run_worker asks for, with and without a carried half; and two empty
+# draws, one with a carried half and one without, which leave it alone
 _DRAW_SIZES = (
     8, 5, 6, 7, 1, 1, 2, 2, 3, 3, 4, 12,
     8 * walks_mc._RAW_WORDS + 1, 3, 8 * walks_mc._RAW_WORDS + 4, 1,
-    (3000, 16), (1545, 2589), (7, 571_428), (250_000, 16), (1, 3),
+    (3000, 16), (1545, 2589), (7, 571_428), (250_000, 16), 0, (1, 3), (0, 4),
 )
 
 
