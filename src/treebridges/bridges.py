@@ -435,4 +435,5 @@ def count_bridges_area_divisible_bruteforce(n: int) -> int:
 
 def bridge_to_string(bridge: Walk) -> str:
     """Serialize increments as a string over {U, D} (+1 -> U, -1 -> D)."""
+    _check_bridge(bridge)
     return "".join("U" if step == 1 else "D" for step in bridge)

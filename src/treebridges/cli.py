@@ -113,9 +113,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# the most digits, and the default, that constants prints
+_MAX_DIGITS = 12
+
+
 def cmd_constants(args) -> int:
-    if not 1 <= args.digits <= 12:
-        return _usage_error(f"digits must be between 1 and 12, got {args.digits}")
+    if not 1 <= args.digits <= _MAX_DIGITS:
+        return _usage_error(f"digits must be between 1 and {_MAX_DIGITS}, got {args.digits}")
     import json
 
     vals = {
@@ -176,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constants", help="print the limit constants as JSON")
-    p_const.add_argument("--digits", type=int, default=12)
+    p_const.add_argument("--digits", type=int, default=_MAX_DIGITS)
     p_const.set_defaults(func=cmd_constants)
 
     p_mc = sub.add_parser("rho-mc", help="Monte Carlo stopping probability estimate")

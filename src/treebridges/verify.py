@@ -1,10 +1,10 @@
 """Self-contained consistency batteries.
 
 Most checks recompute a fact two independent ways and compare; the
-growth-constant check instead tests that three constants built on the
-same xi cohere.  They are deliberately cheap enough to run from the
-command line; the test suite runs the same batteries plus heavier
-one-off oracles.
+growth-constant check tests that three constants built on the same xi
+cohere, and that xi meets the tree series it rearranges.  They are
+deliberately cheap enough to run from the command line; the test suite
+runs the same batteries plus heavier one-off oracles.
 """
 
 from __future__ import annotations
@@ -145,6 +145,11 @@ def check_growth_constant_consistency() -> Outcome:
     pref = constants.gamma_prefactor()
     lo = c.low * (1 - rho.high) ** 0.5
     hi = c.high * (1 - rho.low) ** 0.5
+    # the xi that C and rho share, against the tree series it rearranges
+    x, tree = constants.xi(), constants.tree_series(500)
+    if x.high < tree.low or tree.high < x.low:
+        span = "[{0.low:.12f}, {0.high:.12f}]".format
+        return False, f"xi {span(x)} misses tree_series(500) {span(tree)}"
     ok = lo <= pref.high and pref.low <= hi
     return ok, f"C sqrt(1 - rho) in [{lo:.12f}, {hi:.12f}]"
 

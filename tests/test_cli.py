@@ -48,42 +48,11 @@ def test_tables_multiset_triangle(capsys):
     assert out.splitlines() == ["n,k,value", "1,0,1", "1,1,1", "2,0,1", "2,1,1", "2,2,2"]
 
 
-def test_tables_cap_is_a_usage_error(capsys):
-    n = str(graphseq.COUNT_CAP + 1)
-    code, _, err = run_cli(capsys, "tables", "--which", "G", "--n-max", n)
-    assert code == 2
-    assert "capped" in err and str(graphseq.COUNT_CAP) in err
-
-
-def test_bridge_tables_cap_is_a_usage_error(capsys):
-    for which in ("B", "irreducible"):
-        n = str(series.BRIDGE_TABLE_CAP + 1)
-        code, out, err = run_cli(capsys, "tables", "--which", which, "--n-max", n)
-        assert code == 2
-        assert out == ""
-        assert "capped" in err and str(series.BRIDGE_TABLE_CAP) in err
-
-
-def test_tree_table_cap_is_a_usage_error(capsys):
-    # T, and N and Nprime as 2T, all read the tree sieve
-    for which, factor in (("T", 1), ("N", 2), ("Nprime", 2)):
-        cap = cli._TABLES[which][1]
-        # the last printed value stays inside the int-to-str digit limit
-        str(factor * trees.plane_tree_counts(cap)[cap])
-        code, out, err = run_cli(
-            capsys, "tables", "--which", which, "--n-max", str(cap + 1)
-        )
-        assert code == 2
-        assert out == ""
-        assert "capped" in err and str(cap) in err
-
-
-def test_multiset_table_cap_is_a_usage_error(capsys):
-    cap = cli._TABLES["M"][1]
-    code, out, err = run_cli(capsys, "tables", "--which", "M", "--n-max", str(cap + 1))
-    assert code == 2
-    assert out == ""
-    assert "capped" in err and str(cap) in err
+def test_tree_tables_last_value_converts_to_str():
+    # T, and N and Nprime as 2T, all read the tree sieve; 2T at their cap,
+    # the last N and Nprime value, stays inside the int-to-str digit limit
+    cap = cli._TREE_TABLE_CAP
+    str(2 * trees.plane_tree_counts(cap)[cap])
 
 
 # each table's least n-max and the first row it prints there
@@ -99,13 +68,17 @@ FIRST_ROWS = {
 
 
 @pytest.mark.parametrize("which", list(FIRST_ROWS))
-def test_table_lower_bound(capsys, which):
+def test_table_bounds(capsys, which):
+    # both bounds are usage errors, checked before any work
     least, first = FIRST_ROWS[which]
     assert cli._TABLES[which][0] == least
-    code, out, err = run_cli(capsys, "tables", "--which", which, "--n-max", str(least - 1))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: n-max too small for table {which}: {least - 1}\n"
+    cap = cli._TABLES[which][1]
+    for n, message in (
+        (least - 1, f"n-max too small for table {which}: {least - 1}"),
+        (cap + 1, f"table {which} is capped at n = {cap}, got {cap + 1}"),
+    ):
+        argv = ("tables", "--which", which, "--n-max", str(n))
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
     code, out, _ = run_cli(capsys, "tables", "--which", which, "--n-max", str(least))
     assert code == 0
     assert out.splitlines()[1] == first

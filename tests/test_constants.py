@@ -179,20 +179,16 @@ def test_gamma_prefactor():
 
 def test_prefactor_and_growth_constant_read_no_float_pi(monkeypatch):
     # the two divide by Machin's pi and the tree series bounds its tail by
-    # a rational, so a wrong math.pi cannot move any of them
+    # a rational, so a wrong math.pi cannot move any of them; the series is
+    # called past its cache, so that each call recomputes it
     calls = (
         constants.gamma_prefactor,
         constants.count_growth_constant,
-        lambda: constants.tree_series(100),
+        lambda: constants.tree_series.__wrapped__(100),
     )
-    constants.tree_series.cache_clear()
     want = [f() for f in calls]
-    constants.tree_series.cache_clear()
     monkeypatch.setattr(math, "pi", 3.0)
-    try:
-        assert [f() for f in calls] == want
-    finally:
-        constants.tree_series.cache_clear()
+    assert [f() for f in calls] == want
     for got, ref in zip(want, (PREFACTOR_REF, C_REF)):
         assert abs(got.value - ref) <= got.error_bound + REF_SLOP
 

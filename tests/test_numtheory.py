@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bijections, bridges, constants, graphseq, trees, verify, walks_mc
+from treebridges import bijections, bridges, constants, graphseq, series, trees, verify, walks_mc
 from treebridges.numtheory import TRIAL_DIVISION_CAP, divisors, euler_phi
 
 
@@ -19,13 +19,6 @@ def test_euler_phi_prime_and_prime_power():
     assert euler_phi(97) == 96
     assert euler_phi(1024) == 512
     assert euler_phi(3**5) == 3**5 - 3**4
-
-
-def test_euler_phi_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        euler_phi(0)
-    with pytest.raises(ValueError):
-        euler_phi(-3)
 
 
 def test_euler_phi_divisor_sum():
@@ -52,46 +45,69 @@ def test_divisors_sorted_and_complete():
         assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
 
 
-def test_divisors_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        divisors(0)
-
-
 # every public entry point whose integer argument is checked by check_size:
-# (call with that argument set to v, argument name, least value, cap)
+# (call with that argument set to v, argument name, least value, cap).  The
+# cached DPs are called by keyword: an untyped cache would serve n=True the
+# entry for n=1, while a lone positional bool never reaches a cached entry
 BOUNDARY = {
     "enumerate_bridges": (lambda v: list(bridges.enumerate_bridges(v)), "n", 0, None),
     "enumerate_graphical_bridges": (
         lambda v: list(bridges.enumerate_graphical_bridges(v)),
         "n", 0, bridges.ENUMERATION_CAP,
     ),
+    "count_bridges_area_divisible": (
+        bridges.count_bridges_area_divisible, "n", 1, bridges.RESIDUE_DP_CAP,
+    ),
     "count_bridges_area_divisible_bruteforce": (
         bridges.count_bridges_area_divisible_bruteforce, "n", 1, bridges.ENUMERATION_CAP,
+    ),
+    "graphical_bridge_counts": (
+        lambda v: bridges.graphical_bridge_counts(n_max=v), "n_max", 0, bridges.BRIDGE_DP_CAP,
+    ),
+    "sample_uniform_graphical_bridge-n": (
+        lambda v: bridges.sample_uniform_graphical_bridge(v, 0), "n", 0, bridges.SAMPLING_CAP,
+    ),
+    "sample_uniform_graphical_bridge-seed": (
+        lambda v: bridges.sample_uniform_graphical_bridge(3, v), "seed", 0, None,
+    ),
+    "count_paths_area_divisible": (
+        trees.count_paths_area_divisible, "n", 1, bridges.RESIDUE_DP_CAP,
+    ),
+    "count_paths_by_final_step": (
+        lambda v: trees.count_paths_by_final_step(n=v), "n", 1, bridges.RESIDUE_DP_CAP,
     ),
     "count_paths_area_divisible_bruteforce": (
         trees.count_paths_area_divisible_bruteforce, "n", 1, trees.EXHAUSTIVE_PATH_CAP,
     ),
+    "plane_tree_counts": (trees.plane_tree_counts, "n_max", 0, trees.TREE_TABLE_CAP),
+    "plane_tree_count": (trees.plane_tree_count, "n", 1, trees.TREE_TABLE_CAP),
     "zero_sum_multisets-n": (
         lambda v: trees.zero_sum_multisets(v, 2), "n", 1, trees.TREE_TABLE_CAP,
     ),
     "zero_sum_multisets-k": (
         lambda v: trees.zero_sum_multisets(2, v), "k", 0, trees.TREE_TABLE_CAP,
     ),
-    "plane_tree_count": (trees.plane_tree_count, "n", 1, trees.TREE_TABLE_CAP),
     "zero_sum_multisets_bruteforce-n": (
         lambda v: trees.zero_sum_multisets_bruteforce(v, 2), "n", 1, trees.MULTISET_SCAN_CAP,
     ),
     "zero_sum_multisets_bruteforce-k": (
         lambda v: trees.zero_sum_multisets_bruteforce(2, v), "k", 0, trees.MULTISET_SCAN_CAP,
     ),
+    "bridge_counts_from_trees": (
+        series.bridge_counts_from_trees, "n_max", 0, series.BRIDGE_TABLE_CAP,
+    ),
+    "parts_count_distribution": (series.parts_count_distribution, "n", 1, series.PARTS_CAP),
+    "mean_inverse_parts": (series.mean_inverse_parts, "n", 1, series.PARTS_CAP),
+    "parts_negbin_tv_distance": (series.parts_negbin_tv_distance, "n", 1, series.PARTS_CAP),
     "all_graph_degree_sequences": (
         graphseq.all_graph_degree_sequences, "n", 0, graphseq.ORACLE_CAP,
     ),
     "ratio_table": (graphseq.ratio_table, "n_max", 0, graphseq.COUNT_CAP),
     "count_graphical_sequences": (graphseq.count_graphical_sequences, "n", 1, graphseq.COUNT_CAP),
-    "graphical_sequence_counts": (graphseq.graphical_sequence_counts, "n_max", 0, graphseq.COUNT_CAP),
+    "graphical_sequence_counts": (
+        graphseq.graphical_sequence_counts, "n_max", 0, graphseq.COUNT_CAP,
+    ),
     "is_graphical_sequence": (lambda v: graphseq.is_graphical_sequence((0, v)), "degree", 0, 1),
-    # by keyword: an untyped cache serves n=True or terms=True the entry for 1
     "euler_phi": (lambda v: euler_phi(n=v), "n", 1, TRIAL_DIVISION_CAP),
     "divisors": (divisors, "n", 1, TRIAL_DIVISION_CAP),
     "tree_series": (
@@ -102,9 +118,6 @@ BOUNDARY = {
     "estimate-horizon": (lambda v: walks_mc.estimate_zero_area_prob(1, v, 0), "horizon", 1, None),
     "estimate-seed": (lambda v: walks_mc.estimate_zero_area_prob(1, 1, v), "seed", 0, None),
     "simulate_stopped_walk": (lambda v: walks_mc.simulate_stopped_walk(v, 10), "seed", 0, None),
-    "sample_uniform_graphical_bridge-seed": (
-        lambda v: bridges.sample_uniform_graphical_bridge(3, v), "seed", 0, None,
-    ),
     "estimate-workers": (
         lambda v: walks_mc.estimate_zero_area_prob(1, 1, 0, workers=v), "workers", 1, None,
     ),
@@ -122,12 +135,12 @@ def test_public_sizes_are_checked_at_the_boundary(call, name, least, cap):
     # stand in for True or 2.0 below
     call(least)
     for bad in (True, 2.0, "3"):
-        with pytest.raises(TypeError, match=f"{name} must be an int"):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
             call(bad)
-    with pytest.raises(ValueError, match=f"{name} must be >= {least}"):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
         call(least - 1)
     if cap is not None:
-        with pytest.raises(ValueError, match=f"{name} is capped at {cap}"):
+        with pytest.raises(ValueError, match=f"^{name} is capped at {cap}, got {cap + 1}$"):
             call(cap + 1)
 
 

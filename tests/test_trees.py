@@ -15,11 +15,7 @@ TREE_COUNTS = [1, 2, 4, 10, 26, 80, 246, 810, 2704, 9252, 32066, 112720]
 def test_plane_tree_count_frozen_row():
     assert [trees.plane_tree_count(n) for n in range(1, 13)] == TREE_COUNTS
     assert trees.plane_tree_counts(12) == (0, *TREE_COUNTS)
-
-
-def test_plane_tree_count_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        trees.plane_tree_count(0)
+    assert trees.plane_tree_counts(0) == (0,)
 
 
 def test_zero_sum_multisets_matches_bruteforce():
@@ -34,10 +30,6 @@ def test_zero_sum_multisets_edges():
     for n in range(1, 10):
         assert trees.zero_sum_multisets(n, 0) == 1
         assert trees.zero_sum_multisets(n, 1) == 1
-    with pytest.raises(ValueError):
-        trees.zero_sum_multisets(0, 3)
-    with pytest.raises(ValueError):
-        trees.zero_sum_multisets(3, -1)
 
 
 def test_zero_sum_multisets_diagonal_gives_tree_counts():
@@ -122,39 +114,3 @@ def test_path_field_width_holds_the_central_binomial(n, unpack):
     top = math.comb(2 * n, n)
     packed = top | top << w | top << 2 * w
     assert unpack(packed, w) == [top] * 3
-
-
-def test_bruteforce_cap_enforced():
-    with pytest.raises(ValueError):
-        trees.count_paths_area_divisible_bruteforce(trees.EXHAUSTIVE_PATH_CAP + 1)
-
-
-def test_plane_tree_count_rejects_non_int():
-    for bad in (True, 2.0, "3"):
-        with pytest.raises(TypeError, match="n must be an int"):
-            trees.plane_tree_count(bad)
-
-
-@pytest.mark.parametrize(
-    "count, args",
-    [
-        (trees.zero_sum_multisets, (3.0, 1)),
-        (trees.zero_sum_multisets, (3, True)),
-        (trees.count_paths_by_final_step, (True,)),
-        (trees.count_paths_area_divisible, (True,)),
-        (bridges.count_bridges_area_divisible, (True,)),
-        (trees.plane_tree_counts, ("3",)),
-    ],
-    ids=["multisets-n", "multisets-k", "paths-by-step", "paths", "bridges", "tree-table"],
-)
-def test_counts_reject_non_int(count, args):
-    with pytest.raises(TypeError, match="must be an int"):
-        count(*args)
-
-
-def test_plane_tree_counts_cap_and_validation():
-    with pytest.raises(ValueError, match="capped"):
-        trees.plane_tree_counts(trees.TREE_TABLE_CAP + 1)
-    with pytest.raises(ValueError):
-        trees.plane_tree_counts(-1)
-    assert trees.plane_tree_counts(0) == (0,)

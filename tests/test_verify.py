@@ -181,10 +181,7 @@ MUTANTS = {
         bijections, "shift_bridge", _rotated_at_length(10),
         "shift map is a bijection onto balanced divisible-area walks", None,
     ),
-    "xi+0.05": (
-        constants, "xi", _shifted_by(0.05), _GROWTH,
-        "ROADMAP item 10: C and rho read the same xi(), which cancels from C sqrt(1 - rho)",
-    ),
+    "xi+0.05": (constants, "xi", _shifted_by(0.05), _GROWTH, None),
     "gamma_three_quarters+0.01": (
         constants, "gamma_three_quarters", _shifted_by(0.01), _GROWTH,
         "ROADMAP item 10: C and the prefactor read the same Gamma(3/4)",
@@ -231,3 +228,17 @@ def test_a_wrong_route_fails_its_verify_line(monkeypatch, home, name, make, line
         _clear_caches()
     passed = {title: ok for title, ok, _ in results}
     assert passed[line] is False
+
+
+def test_a_wrong_xi_names_both_intervals(monkeypatch):
+    # the passing detail is C sqrt(1 - rho); a wrong xi names what it missed
+    _clear_caches()
+    monkeypatch.setattr(constants, "xi", _shifted_by(0.05)(constants.xi))
+    try:
+        ok, detail = verify.check_growth_constant_consistency()
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert ok is False
+    interval = r"\[\d\.\d{12}, \d\.\d{12}\]"
+    assert re.fullmatch(rf"xi {interval} misses tree_series\(500\) {interval}", detail)

@@ -45,11 +45,6 @@ def test_irreducible_bridges_are_the_lazy_walks_first_stopping_at_area_zero():
     assert counts == [2, 0, 0, 1, 2, 8, 20, 66]
 
 
-def test_stop_time_outcome_validates_horizon():
-    with pytest.raises(ValueError):
-        walks_mc.stop_time_outcome([0], 0)
-
-
 def test_simulate_stopped_walk_deterministic():
     outcomes = {walks_mc.simulate_stopped_walk(seed, 10_000) for seed in range(8)}
     assert outcomes <= {WalkOutcome.AREA_ZERO, WalkOutcome.AREA_NEGATIVE, WalkOutcome.CAPPED}
@@ -71,17 +66,6 @@ def test_simulate_stopped_walk_rejects_non_int_seed():
     for bad in (True, 1.5, "abc", None):
         with pytest.raises(TypeError, match="seed must be an int"):
             walks_mc.simulate_stopped_walk(bad, 10)
-
-
-def test_estimate_validation():
-    with pytest.raises(ValueError):
-        walks_mc.estimate_zero_area_prob(0, 10, 1)
-    with pytest.raises(ValueError):
-        walks_mc.estimate_zero_area_prob(10, 10, 1, workers=0)
-    with pytest.raises(ValueError, match="horizon"):
-        walks_mc.estimate_zero_area_prob(100, 0, seed=1)
-    with pytest.raises(ValueError, match="seed"):
-        walks_mc.estimate_zero_area_prob(10, 10, seed=-1)
 
 
 def test_estimate_memory_stays_within_the_block_budget():
@@ -123,7 +107,7 @@ def _whole_block_run_worker(samples, horizon, seed_seq):
     zero = negative = 0
     done = 0
     while y.size and done < horizon:
-        width = min(max(16, walks_mc._BLOCK_BUDGET // y.size), horizon - done)
+        width = min(max(walks_mc._MIN_WIDTH, walks_mc._BLOCK_BUDGET // y.size), horizon - done)
         u = rng.integers(0, 4, size=(y.size, width), dtype=np.int8)
         ypath = steps[u]
         ypath[:, 0] += y
