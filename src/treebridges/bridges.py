@@ -125,7 +125,11 @@ def lazify(walk: Walk) -> tuple:
 
 
 def lazy_walk_area(lazy: tuple) -> int:
-    """Signed area (sum of positions) of a lazy walk."""
+    """Signed area (sum of positions) of a lazy walk, whose steps are
+    the ints -1, 0 and +1."""
+    # True and 0.0 equal 1 and 0, as in _check_even_length
+    if sum(map(lazy.count, (1, 0, -1))) != len(lazy) or not set(map(type, lazy)) <= {int}:
+        raise ValueError("lazy walk steps must be -1, 0 or +1")
     height = 0
     area = 0
     for step in lazy:

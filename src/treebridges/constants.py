@@ -82,8 +82,6 @@ from typing import NamedTuple
 from .numtheory import check_size, euler_phi
 from .trees import TREE_TABLE_CAP, plane_tree_counts
 
-DEFAULT_TERMS = 10_000
-
 # every series behind xi() stops once its tail bound is below this
 _TAIL = Fraction(1, 2**100)
 
@@ -119,10 +117,8 @@ class BoundedReal(NamedTuple):
         return BoundedReal(value, (math.floor(radius / Fraction(ulp)) + 2) * ulp)
 
 
-# the definition, kept as the oracle for xi(); typed, so that True is not
-# served the cached entry for 1
-@lru_cache(maxsize=8, typed=True)
-def tree_series(terms: int = DEFAULT_TERMS) -> BoundedReal:
+# the definition, kept as the oracle for xi()
+def tree_series(terms: int) -> BoundedReal:
     """Partial sum of sum_k T(k) / (k * 4^k) with a rigorous bound.
 
     The integer floors of T(k) 2^128 / (k 4^k) sum to S, so the partial

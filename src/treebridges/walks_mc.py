@@ -8,9 +8,10 @@ Runs that never stop within the horizon are reported as capped, never
 silently dropped: nothing here guarantees the stop comes in finite
 time, and at horizon 10^6 roughly 1.8 percent of runs are still going,
 which is why estimates carry the capped fraction alongside the
-standard error.  The walks are split into shares, each on its own
-substream, and the shares run concurrently on at most
-min(workers, shares, CPU count) forked processes.  A share reads its
+standard error.  The walks are split into shares, and the worker of
+share w derives its own substream from (seed, w); the shares run
+concurrently on at most min(workers, shares, CPU count) forked
+processes.  A share reads its
 draws from its PCG64's raw 64-bit words, one byte per draw: the stream
 is exactly the one numpy's Generator.integers makes for int8 draws in
 [0, 4), at about a quarter of its cost: 1.1-1.2 against 4.5-4.8 ns per
@@ -18,17 +19,16 @@ draw (_draw; 2-core x86-64, numpy 2.4).  Each share reads its own
 int8 block of at most 4 MB of draws in cache-sized tiles: a share of
 250,000 walks peaks near 10 MiB of numpy memory (tracemalloc, horizon
 16), and a process near 47 MB resident, most of it numpy itself
-(Python 3.11, numpy 2.4, x86-64).  A tile is read in two levels: exact
-sums over sub-blocks of 32 steps give the state at every sub-block
-boundary, and only the sub-blocks that a certificate on those states
-cannot rule out are stepped through one step at a time (proof in
-_scan_block).
+(Python 3.11, numpy 2.4, x86-64).  A tile off the origin, of any
+width, is read in two levels: exact sums over sub-blocks of 32 steps
+give the state at every sub-block boundary, and only the sub-blocks
+that a certificate on those states cannot rule out are stepped through
+one step at a time (proof in _scan_block).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import random
@@ -193,9 +193,9 @@ def _may_stop(y_start, y_end, a_start):
 
 
 def _sub_block_scan(d, y, area):
-    """_step_scan's result for int8 increments d at least _SUB columns
-    wide, stepping only through the sub-blocks where a stop can fall
-    (see _scan_block)."""
+    """_step_scan's result for int8 increments d of any width, stepping
+    only through the sub-blocks where a stop can fall; the last
+    sub-block is padded with zero steps (see _scan_block)."""
     import numpy as np
 
     rows, cols = d.shape
@@ -268,9 +268,11 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
 
     A share's first block starts every walker at (0, 0), where the
     candidates are dense and half the walkers stop at their first step,
-    so a tile whose walkers all start there is stepped through whole, as
-    is a tile narrower than one sub-block.  No alive walker is at
-    (0, 0) after a step, since that state is a stop.
+    so a tile whose walkers all start there is stepped through whole.
+    No alive walker is at (0, 0) after a step, since that state is a
+    stop, so every other tile is read in two levels, whatever its
+    width: the padding argument holds for a tile narrower than one
+    sub-block too.
     """
     import numpy as np
 
@@ -283,8 +285,7 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
         ag = area[g0 : g0 + group]
         for c0 in range(0, width, chunk):
             d = _increments(u[g0 : g0 + group, c0 : c0 + chunk])
-            at_origin = not (yg.any() or ag.any())
-            scan = _step_scan if at_origin or d.shape[1] < _SUB else _sub_block_scan
+            scan = _sub_block_scan if yg.any() or ag.any() else _step_scan
             hit, stop_area, y_end, a_end = scan(d, yg, ag)
             zero += int(np.count_nonzero(stop_area == 0))
             negative += int(np.count_nonzero(stop_area < 0))
@@ -300,20 +301,21 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     return zero, negative, alive
 
 
-def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
-    """Vectorized batch of walks; returns (zero, negative, capped).
+def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int, int]:
+    """(zero, negative, capped) of share w's samples walks, on the
+    substream spawned from (seed, w): a PCG64 on
+    SeedSequence(entropy=seed, spawn_key=(w,)).
 
     Same increment law as simulate_stopped_walk (a uniform draw from
     four values: one maps to +1, one to -1, two to 0), drawn in int8
     blocks whose width adapts so alive * width stays within budget, and
-    read by _scan_block.  _draw fills each block from the raw words of
-    a PCG64 on seed_seq: block by block, the draws that
-    Generator(PCG64(seed_seq)).integers would give for int8 draws in
-    [0, 4) of shape (alive, width).
+    read by _scan_block.  _draw fills each block from the PCG64's raw
+    words: block by block, the draws that Generator(PCG64(...)).integers
+    would give for int8 draws in [0, 4) of shape (alive, width).
     """
     import numpy as np
 
-    bit_gen = np.random.PCG64(seed_seq)
+    bit_gen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
     y = np.zeros(samples, dtype=np.int64)
     area = np.zeros(samples, dtype=np.int64)
     zero = negative = 0
@@ -328,16 +330,6 @@ def _run_worker(samples: int, horizon: int, seed_seq) -> tuple[int, int, int]:
         area = area[:alive]
         done += width
     return zero, negative, y.size
-
-
-def _run_share(samples: int, shares: int, horizon: int, seed: int, w: int):
-    """_run_worker's (zero, negative, capped) for share w of samples
-    split into shares near-equal parts, on the substream spawned from
-    (seed, w)."""
-    import numpy as np
-
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
-    return _run_worker(samples // shares + (w < samples % shares), horizon, ss)
 
 
 def estimate_zero_area_prob(
@@ -379,9 +371,10 @@ def estimate_zero_area_prob(
 
         if "fork" not in multiprocessing.get_all_start_methods():
             procs = 1
-    run = functools.partial(_run_share, samples, shares, horizon, seed)
+    sizes = [samples // shares + (w < samples % shares) for w in range(shares)]
+    args = (sizes, [horizon] * shares, [seed] * shares, range(shares))
     if procs == 1:
-        counts = list(map(run, range(shares)))
+        counts = list(map(_run_worker, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -390,7 +383,7 @@ def estimate_zero_area_prob(
 
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(procs, mp_context=ctx) as pool:
-            counts = list(pool.map(run, range(shares), chunksize=-(-shares // procs)))
+            counts = list(pool.map(_run_worker, *args, chunksize=-(-shares // procs)))
     zero, negative, capped = map(sum, zip(*counts))
     stopped = zero + negative
     if stopped:

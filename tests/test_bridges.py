@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
@@ -412,21 +410,6 @@ def test_sampler_part_counts_match_exact_distribution():
         assert abs(freq - float(p)) <= 3 * sigma
 
 
-def test_the_exact_sampler_and_counts_do_not_load_numpy():
-    # the sampler and the bridge DP run on Python ints alone
-    script = (
-        "import sys\n"
-        "from treebridges import bridges\n"
-        "bridges.sample_uniform_graphical_bridge(30, 1)\n"
-        "bridges.graphical_bridge_counts(30)\n"
-        "assert 'numpy' not in sys.modules\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_walks_mc_sampler_name_is_the_bridges_sampler():
     # an alias, not a wrapper: a tracer that rebinds the walks_mc name
     # wraps the one sampler
@@ -571,6 +554,16 @@ _CHECKED = {**WALK_FUNCTIONS, **BRIDGE_FUNCTIONS}
 def test_walk_functions_reject_bad_walks(fn, walk, match):
     with pytest.raises(ValueError, match=match):
         fn(walk)
+
+
+# lazy walks, of any length, whose steps are not all the ints -1, 0 and +1
+BAD_LAZY_WALKS = [(5, 7), (2,), (1, -2, 0), (True,), (0.0,), [1, 0, -1.0]]
+
+
+@pytest.mark.parametrize("lazy", BAD_LAZY_WALKS, ids=str)
+def test_lazy_walk_area_rejects_bad_lazy_walks(lazy):
+    with pytest.raises(ValueError, match=r"^lazy walk steps must be -1, 0 or \+1$"):
+        bridges.lazy_walk_area(lazy)
 
 
 @pytest.mark.parametrize("walk", [(1, 1), (-1, -1, -1, 1)], ids=str)

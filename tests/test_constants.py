@@ -24,6 +24,12 @@ RHO_REF = 0.51580263808914185850
 REF_SLOP = 1e-16
 
 
+@pytest.fixture(scope="module")
+def series_50k():
+    # tree_series keeps no cache, and this one takes about 3.5 s
+    return constants.tree_series(50_000)
+
+
 def test_bounded_real_interval_api():
     x = constants.BoundedReal(1.5, 0.25)
     assert x.low == 1.25 and x.high == 1.75
@@ -64,7 +70,7 @@ def test_rational_tail_bound_covers_the_proved_tail():
 
 
 def test_tree_series_brackets_reference():
-    xi = constants.tree_series()
+    xi = constants.tree_series(10_000)
     assert abs(xi.value - XI_REF) <= xi.error_bound + REF_SLOP
     assert xi.error_bound < 1e-6
 
@@ -79,15 +85,15 @@ def test_tree_series_within_one_ulp_of_the_exact_partial_sum():
         assert Fraction(xi.high) - partial >= Fraction(5000, 13293 * math.isqrt(terms**3))
 
 
-def test_tree_series_nested_intervals():
+def test_tree_series_nested_intervals(series_50k):
+    nested = [constants.tree_series(2000), constants.tree_series(10_000), series_50k]
     prev_bound = math.inf
-    for terms in (2000, 10_000, 50_000):
-        xi = constants.tree_series(terms)
+    for xi in nested:
         assert xi.error_bound < prev_bound
         prev_bound = xi.error_bound
         assert abs(xi.value - XI_REF) <= xi.error_bound + REF_SLOP
     # partial sums of a positive series only grow
-    assert constants.tree_series(2000).value < constants.tree_series(50_000).value
+    assert nested[0].value < series_50k.value
 
 
 def test_rearranged_series_equals_the_tree_series_exactly():
@@ -118,10 +124,9 @@ def test_closed_form_m1_brackets_its_partial_sum():
     assert float(lo) == pytest.approx(math.pi**2 / 6 - 2 * math.log(2) ** 2, abs=1e-15)
 
 
-def test_xi_inside_the_tree_series_and_at_the_references():
+def test_xi_inside_the_tree_series_and_at_the_references(series_50k):
     x = constants.xi()
-    coarse = constants.tree_series(50_000)
-    assert coarse.low <= x.low and x.high <= coarse.high
+    assert series_50k.low <= x.low and x.high <= series_50k.high
     # the rational interval is far narrower than a float, so the bound
     # is its floor of 2 ulps
     lo, hi = constants._xi_interval()
@@ -179,12 +184,11 @@ def test_gamma_prefactor():
 
 def test_prefactor_and_growth_constant_read_no_float_pi(monkeypatch):
     # the two divide by Machin's pi and the tree series bounds its tail by
-    # a rational, so a wrong math.pi cannot move any of them; the series is
-    # called past its cache, so that each call recomputes it
+    # a rational, so a wrong math.pi cannot move any of them
     calls = (
         constants.gamma_prefactor,
         constants.count_growth_constant,
-        lambda: constants.tree_series.__wrapped__(100),
+        lambda: constants.tree_series(100),
     )
     want = [f() for f in calls]
     monkeypatch.setattr(math, "pi", 3.0)
@@ -193,14 +197,14 @@ def test_prefactor_and_growth_constant_read_no_float_pi(monkeypatch):
         assert abs(got.value - ref) <= got.error_bound + REF_SLOP
 
 
-def test_count_growth_constant_brackets_reference():
+def test_count_growth_constant_brackets_reference(series_50k):
     c = constants.count_growth_constant()
     assert abs(c.value - C_REF) <= c.error_bound + REF_SLOP
     # C's formula recomputed from the 50,000-term tree series gives a
     # coarser interval, which must hold C's
     pref = constants.gamma_prefactor()
-    xi = constants.tree_series(50_000)
-    coarse_lo, coarse_hi = pref.low * math.exp(xi.low), pref.high * math.exp(xi.high)
+    coarse_lo = pref.low * math.exp(series_50k.low)
+    coarse_hi = pref.high * math.exp(series_50k.high)
     assert coarse_lo - REF_SLOP <= c.low and c.high <= coarse_hi + REF_SLOP
     assert c.error_bound < (coarse_hi - coarse_lo) / 2
 

@@ -87,21 +87,21 @@ def test_one_share_peaks_at_its_block_state_and_one_tile():
     # the int8 block of 250,000 x 16 draws is 3.8 MiB, the int64 height
     # and area of 250,000 walks another 3.8 MiB, and one tile's two int64
     # running sums 1 MiB, so 12 MiB leaves room for the tile's compares
-    ss = np.random.SeedSequence(entropy=1, spawn_key=(0,))
     tracemalloc.start()
     try:
-        walks_mc._run_worker(250_000, 16, ss)
+        walks_mc._run_worker(250_000, 16, 1, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
 
 
-def _whole_block_run_worker(samples, horizon, seed_seq):
-    # the scan that read each block whole, kept as the reference for
-    # the tiled one
+def _whole_block_run_worker(samples, horizon, seed, w):
+    # the scan that read each block whole from numpy's own int8 draws on
+    # substream (seed, w), kept as the reference for the tiled one
     steps = np.array(walks_mc._STEPS, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
+    rng = np.random.Generator(np.random.PCG64(ss))
     y = np.zeros(samples, dtype=np.int64)
     area = np.zeros(samples, dtype=np.int64)
     zero = negative = 0
@@ -184,10 +184,8 @@ def test_draw_is_generator_integers_call_by_call():
     ],
 )
 def test_tiled_scan_gives_the_whole_block_counts(samples, horizon, seed):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    want = _whole_block_run_worker(samples, horizon, ss)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    assert walks_mc._run_worker(samples, horizon, ss) == want
+    want = _whole_block_run_worker(samples, horizon, seed, 0)
+    assert walks_mc._run_worker(samples, horizon, seed, 0) == want
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -225,8 +223,7 @@ def test_lone_row_carries_its_state_across_chunks(seed):
 def test_run_worker_stream_is_pinned(samples, horizon, seed, counts):
     # (zero, negative, capped) on substream (seed, 0), frozen so that a
     # rewrite of the block scan cannot change the draws or their reading
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-    assert walks_mc._run_worker(samples, horizon, ss) == counts
+    assert walks_mc._run_worker(samples, horizon, seed, 0) == counts
 
 
 B = walks_mc._SUB
@@ -275,8 +272,8 @@ def _near_edge_states(rng, rows):
 @pytest.mark.parametrize("width", range(1, 3 * B + 2))
 def test_two_level_scan_is_the_step_reference_at_every_width(width, monkeypatch):
     # start states around the certificate's edges, where stops fall in
-    # and next to the candidate sub-blocks; tiles of at least B columns
-    # are read in two levels, narrower ones step by step
+    # and next to the candidate sub-blocks; a tile off the origin is read
+    # in two levels at every width, its last sub-block padded
     calls = []
     sub_block_scan = walks_mc._sub_block_scan
     monkeypatch.setattr(
@@ -288,7 +285,7 @@ def test_two_level_scan_is_the_step_reference_at_every_width(width, monkeypatch)
         u = rng.integers(0, 4, size=(60, width), dtype=np.int8)
         stopped += _assert_scan_is_the_reference(u, *_near_edge_states(rng, 60))
     assert stopped
-    assert bool(calls) == (width >= B)
+    assert calls
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -392,22 +389,25 @@ def test_estimate_workers_past_samples_makes_one_share_per_walk():
 
 def test_shares_split_the_samples_into_near_equal_parts(monkeypatch):
     # share w runs samples // shares walks, one more for each of the first
-    # samples % shares shares, on the substream spawned from (seed, w)
+    # samples % shares shares, on the substream of (seed, w); one CPU
+    # keeps the spy in this process
     ran = []
 
-    def worker(samples, horizon, ss):
-        ran.append((samples, horizon, ss.entropy, ss.spawn_key))
+    def worker(samples, horizon, seed, w):
+        ran.append((samples, horizon, seed, w))
         return samples, 0, 0
 
     monkeypatch.setattr(walks_mc, "_run_worker", worker)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     for samples, shares in ((1, 1), (10, 3), (7, 7), (1000, 6)):
         ran.clear()
-        counts = [walks_mc._run_share(samples, shares, 40, 9, w) for w in range(shares)]
+        est = walks_mc.estimate_zero_area_prob(samples, 40, 9, workers=shares)
         sizes = [n for n, *_ in ran]
         assert sum(sizes) == samples and max(sizes) - min(sizes) <= 1
         assert sizes == sorted(sizes, reverse=True)
-        assert [r[1:] for r in ran] == [(40, 9, (w,)) for w in range(shares)]
-        assert counts == [(n, 0, 0) for n in sizes]
+        assert [r[1:] for r in ran] == [(40, 9, w) for w in range(shares)]
+        # the shares' counts are summed: every walk stopped at area zero
+        assert est == walks_mc.McEstimate(1.0, samples, 0.0, 0.0, 9)
 
 
 def test_pooled_shares_give_the_in_process_counts(monkeypatch):
@@ -416,8 +416,7 @@ def test_pooled_shares_give_the_in_process_counts(monkeypatch):
     horizon = 200
     zero = negative = capped = 0
     for w in range(2):
-        ss = np.random.SeedSequence(entropy=1, spawn_key=(w,))
-        z, ng, cp = walks_mc._run_worker(10_000, horizon, ss)
+        z, ng, cp = walks_mc._run_worker(10_000, horizon, 1, w)
         zero, negative, capped = zero + z, negative + ng, capped + cp
     stopped = zero + negative
     p = zero / stopped
@@ -425,6 +424,23 @@ def test_pooled_shares_give_the_in_process_counts(monkeypatch):
     assert walks_mc.estimate_zero_area_prob(20_000, horizon, seed=1, workers=2) == want
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert walks_mc.estimate_zero_area_prob(20_000, horizon, seed=1, workers=2) == want
+
+
+def test_two_share_stream_is_pinned(monkeypatch):
+    # each share's (zero, negative, capped) on substreams (1, 0) and
+    # (1, 1), and the record they sum to, frozen so that a slip in the
+    # map from share to substream cannot pass; pooled where the host has
+    # two CPUs, then in this process, where the spy sees each share
+    want = walks_mc.McEstimate(0.6073529411764705, 20_000, 0.003745392039644584, 0.15, 1)
+    assert walks_mc.estimate_zero_area_prob(20_000, 200, seed=1, workers=2) == want
+    counts = []
+    run_worker = walks_mc._run_worker
+    monkeypatch.setattr(
+        walks_mc, "_run_worker", lambda *a: counts.append(run_worker(*a)) or counts[-1]
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert walks_mc.estimate_zero_area_prob(20_000, 200, seed=1, workers=2) == want
+    assert counts == [(5152, 3336, 1512), (5173, 3339, 1488)]
 
 
 def test_pool_size_is_bounded_by_the_cpu_count(monkeypatch):
