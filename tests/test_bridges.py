@@ -410,6 +410,11 @@ def test_sampler_part_counts_match_exact_distribution():
         assert abs(freq - float(p)) <= 3 * sigma
 
 
+def test_the_exact_sampler_and_counts_do_not_load_numpy(modules_loaded_by_step):
+    # the sampler and the bridge DP run on Python ints alone
+    assert modules_loaded_by_step["sampler"] == set()
+
+
 def test_walks_mc_sampler_name_is_the_bridges_sampler():
     # an alias, not a wrapper: a tracer that rebinds the walks_mc name
     # wraps the one sampler

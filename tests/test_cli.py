@@ -366,45 +366,21 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.splitlines() == ["n,value", "1,1", "2,2", "3,4"]
 
 
-# the import contract: the steps run in order in one fresh interpreter,
-# each with the modules that must still be unloaded after it.  Importing
-# the CLI loads neither numpy nor rho-mc's process pool; numpy costs a
-# cold command about 0.1 s of import, and the sampler, the bridge DP and
-# the Frobenius sweep run on Python ints alone.  Without a bytecode cache
-# dataclasses (with inspect, ast and dis) costs a cold start about 6 ms
-# and json and csv about 2 ms, and most commands need at most one of the two
-IMPORT_STEPS = [
-    (
-        "import treebridges.cli as cli",
-        {"numpy", "multiprocessing", "concurrent.futures", "dataclasses", "inspect", "json", "csv"},
-    ),
-    ("assert cli.main(['verify', '--suite', 'all']) == 0", {"numpy", "json", "csv"}),
-    (
-        "from treebridges import bridges\n"
-        "bridges.sample_uniform_graphical_bridge(30, 1)\n"
-        "bridges.graphical_bridge_counts(30)",
-        {"numpy"},
-    ),
-    ("assert cli.main(['tables', '--which', 'G', '--n-max', '60']) == 0", {"numpy", "json"}),
-    ("assert cli.main(['constants', '--digits', '12']) == 0", {"numpy"}),
-]
+def test_the_cli_and_constants_do_not_load_numpy(modules_loaded_by_step):
+    # importing the CLI loads neither numpy nor the process pool of rho-mc
+    assert modules_loaded_by_step["import"] == set()
+    assert modules_loaded_by_step["constants"] == set()
 
 
-def test_each_step_leaves_its_modules_unloaded():
-    script = textwrap.dedent(
-        f"""
-        import sys
-        start = set(sys.modules)
-        for step, unloaded in {IMPORT_STEPS!r}:
-            exec(step)
-            loaded = (set(sys.modules) - start) & unloaded
-            assert not loaded, f"{{step!r}} loaded {{sorted(loaded)}}"
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_the_cli_loads_no_dataclasses_and_json_or_csv_only_to_print(modules_loaded_by_step):
+    for step in ("import", "verify", "tables G"):
+        assert modules_loaded_by_step[step] == set(), step
+
+
+def test_the_g_table_and_verify_do_not_load_numpy(modules_loaded_by_step):
+    # the Frobenius sweep runs on packed ints
+    assert modules_loaded_by_step["tables G"] == set()
+    assert modules_loaded_by_step["verify"] == set()
 
 
 def test_verify_fails_the_degree_sequence_line_when_g_is_off(capsys, monkeypatch):
