@@ -19,6 +19,7 @@ from .bijections import (
 )
 from .bridges import (
     count_bridges_area_divisible,
+    count_irreducible_bridges,
     diamond_area,
     enumerate_graphical_bridges,
     graphical_bridge_counts,
@@ -50,6 +51,7 @@ from .series import (
     log_transform,
     mean_inverse_parts,
     parts_count_distribution,
+    parts_count_table,
     parts_negbin_tv_distance,
 )
 from .trees import (

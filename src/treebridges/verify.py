@@ -55,9 +55,16 @@ def check_log_transform_doubles_tree_counts(n_max: int = 24) -> Outcome:
 
 @_check("logtransform", 80, "mean inverse part count times n B_n gives twice the tree count")
 def check_mean_inverse_parts_identity(n_max: int = 24) -> Outcome:
+    rows = series.parts_count_table(n_max)
+    fromtrees = series.bridge_counts_from_trees(n_max)
     b = bridges.graphical_bridge_counts(n_max)
     t = trees.plane_tree_counts(n_max)
-    return _each_n(n_max, lambda n: series.mean_inverse_parts(n) * n * b[n] != 2 * t[n])
+
+    def mean_inverse(n: int) -> Fraction:
+        parts = enumerate(rows[n])
+        return sum((Fraction(c, m * fromtrees[n]) for m, c in parts if c), Fraction(0))
+
+    return _each_n(n_max, lambda n: mean_inverse(n) * n * b[n] != 2 * t[n])
 
 
 @_check(
@@ -65,22 +72,16 @@ def check_mean_inverse_parts_identity(n_max: int = 24) -> Outcome:
 )
 def check_irreducible_counts_match_enumeration(n_max: int = 8) -> Outcome:
     fromseries = series.irreducible_bridge_counts(list(bridges.graphical_bridge_counts(n_max)))
-    return _each_n(
-        n_max,
-        lambda n: fromseries[n]
-        != sum(
-            1
-            for br in bridges.enumerate_graphical_bridges(n)
-            if bridges.is_irreducible_bridge(br)
-        ),
-    )
+    walked = bridges.count_irreducible_bridges(n_max)
+    return _each_n(n_max, lambda n: fromseries[n] != walked[n])
 
 
 @_check("logtransform", 60, "part count distribution sums to one exactly")
 def check_parts_distribution_normalized(n_max: int = 20) -> Outcome:
+    rows = series.parts_count_table(n_max)
+    fromtrees = series.bridge_counts_from_trees(n_max)
     return _each_n(
-        n_max,
-        lambda n: sum(series.parts_count_distribution(n).values(), Fraction(0)) != 1,
+        n_max, lambda n: sum((Fraction(c, fromtrees[n]) for c in rows[n]), Fraction(0)) != 1
     )
 
 

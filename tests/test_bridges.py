@@ -485,6 +485,20 @@ def test_irreducible_counts_by_enumeration(graphical_bridges_by_n):
         assert direct == IRREDUCIBLE_COUNTS[n - 1]
 
 
+def test_irreducible_walk_matches_the_enumeration_and_the_inversion():
+    cap = bridges.ENUMERATION_CAP
+    walked = bridges.count_irreducible_bridges(cap)
+    direct = [0] + [
+        sum(map(bridges.is_irreducible_bridge, bridges.enumerate_graphical_bridges(n)))
+        for n in range(1, cap + 1)
+    ]
+    assert walked == direct
+    assert walked == series.irreducible_bridge_counts(list(bridges.graphical_bridge_counts(10)))
+    # a smaller budget walks fewer lengths and counts them the same
+    for n_max in range(1, cap):
+        assert bridges.count_irreducible_bridges(n_max) == walked[: n_max + 1]
+
+
 def test_empty_bridge_is_graphical_but_not_irreducible():
     assert bridges.is_graphical_bridge(())
     assert not bridges.is_irreducible_bridge(())

@@ -55,6 +55,9 @@ BOUNDARY = {
         lambda v: list(bridges.enumerate_graphical_bridges(v)),
         "n", 0, bridges.ENUMERATION_CAP,
     ),
+    "count_irreducible_bridges": (
+        bridges.count_irreducible_bridges, "n_max", 1, bridges.ENUMERATION_CAP,
+    ),
     "count_bridges_area_divisible": (
         bridges.count_bridges_area_divisible, "n", 1, bridges.RESIDUE_DP_CAP,
     ),
@@ -96,6 +99,7 @@ BOUNDARY = {
     "bridge_counts_from_trees": (
         series.bridge_counts_from_trees, "n_max", 0, series.BRIDGE_TABLE_CAP,
     ),
+    "parts_count_table": (series.parts_count_table, "n_max", 0, series.PARTS_CAP),
     "parts_count_distribution": (series.parts_count_distribution, "n", 1, series.PARTS_CAP),
     "mean_inverse_parts": (series.mean_inverse_parts, "n", 1, series.PARTS_CAP),
     "parts_negbin_tv_distance": (series.parts_negbin_tv_distance, "n", 1, series.PARTS_CAP),

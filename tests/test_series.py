@@ -106,6 +106,36 @@ def test_part_counts_do_not_run_the_bridge_dp():
     assert bridges.graphical_bridge_counts.cache_info().misses == misses
 
 
+def _parts_by_power_loop(n: int) -> list[int]:
+    """[x^n] I^m for m = 0, ..., n with I = 1 - 1/B, one n at a time:
+    the power loop that served each n before parts_count_table."""
+    b = series.bridge_counts_from_trees(n)
+    irr = series.irreducible_bridge_counts(b)
+    row = [int(n == 0)]
+    power = [1] + [0] * n
+    for _ in range(1, n + 1):
+        nxt = [0] * (n + 1)
+        for lo in range(n):
+            if power[lo]:
+                for k in range(1, n - lo + 1):
+                    nxt[lo + k] += power[lo] * irr[k]
+        power = nxt
+        row.append(power[n])
+    return row
+
+
+def test_parts_count_table_is_the_per_n_power_loop():
+    rows = series.parts_count_table(40)
+    assert rows == [_parts_by_power_loop(n) for n in range(41)]
+
+
+def test_parts_count_table_rows_do_not_change_as_n_max_grows():
+    rows = series.parts_count_table(40)
+    for n_max in range(40):
+        assert series.parts_count_table(n_max) == rows[: n_max + 1]
+    assert rows[:5] == [[1], [0, 2], [0, 0, 4], [0, 0, 0, 8], [0, 1, 0, 0, 16]]
+
+
 def test_parts_negbin_tv_distance_range_and_trend():
     d10 = series.parts_negbin_tv_distance(10)
     d40 = series.parts_negbin_tv_distance(40)

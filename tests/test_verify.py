@@ -148,6 +148,17 @@ MUTANTS = {
         series, "bridge_counts_from_trees", _bump_at(5),
         "mean inverse part count times n B_n gives twice the tree count", None,
     ),
+    "irreducible_bridge_counts-5": (
+        series, "irreducible_bridge_counts", _bump_at(5),
+        "irreducible counts from series inversion match enumeration", None,
+    ),
+    "parts_count_table-5": (
+        series, "parts_count_table",
+        lambda real: lambda n_max: [
+            [c + (n == m == 5) for m, c in enumerate(row)] for n, row in enumerate(real(n_max))
+        ],
+        "mean inverse part count times n B_n gives twice the tree count", None,
+    ),
     "graphical_bridge_counts-5": (
         bridges, "graphical_bridge_counts", _bump_at(5),
         "bridge counting recursion matches exhaustive enumeration", None,

@@ -410,22 +410,6 @@ def test_shares_split_the_samples_into_near_equal_parts(monkeypatch):
         assert est == walks_mc.McEstimate(1.0, samples, 0.0, 0.0, 9)
 
 
-def test_pooled_shares_give_the_in_process_counts(monkeypatch):
-    # two shares of 10,000 walks on substreams (1, 0) and (1, 1): forked
-    # processes where the host has two CPUs, this process where it has one
-    horizon = 200
-    zero = negative = capped = 0
-    for w in range(2):
-        z, ng, cp = walks_mc._run_worker(10_000, horizon, 1, w)
-        zero, negative, capped = zero + z, negative + ng, capped + cp
-    stopped = zero + negative
-    p = zero / stopped
-    want = walks_mc.McEstimate(p, 20_000, math.sqrt(p * (1 - p) / stopped), capped / 20_000, 1)
-    assert walks_mc.estimate_zero_area_prob(20_000, horizon, seed=1, workers=2) == want
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert walks_mc.estimate_zero_area_prob(20_000, horizon, seed=1, workers=2) == want
-
-
 def test_two_share_stream_is_pinned(monkeypatch):
     # each share's (zero, negative, capped) on substreams (1, 0) and
     # (1, 1), and the record they sum to, frozen so that a slip in the
