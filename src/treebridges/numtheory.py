@@ -3,8 +3,6 @@ argument checks shared by the public counting functions."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def check_size(name: str, value, least: int, cap: int | None = None) -> None:
     """Reject a bool or non-int with a TypeError, then a value below least
@@ -22,8 +20,6 @@ def check_size(name: str, value, least: int, cap: int | None = None) -> None:
 TRIAL_DIVISION_CAP = 10**12
 
 
-# typed, so that True is not served the cached entry for 1
-@lru_cache(maxsize=None, typed=True)
 def euler_phi(n: int) -> int:
     """Euler's totient of n, by trial-division factorization."""
     check_size("n", n, 1, TRIAL_DIVISION_CAP)

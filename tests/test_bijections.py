@@ -45,15 +45,6 @@ def test_shift_bridge_rejects_a_non_pair():
         bijections.shift_bridge(((1, -1), 0))
 
 
-def test_enumerate_shifted_pairs_count(graphical_bridges_by_n):
-    for n in range(1, 7):
-        pairs = list(bijections.enumerate_shifted_pairs(n))
-        assert len(pairs) == 2 * trees.plane_tree_count(n)
-        assert len(set(pairs)) == len(pairs)
-    # the empty bridge has no first irreducible part to shift within
-    assert list(bijections.enumerate_shifted_pairs(0)) == []
-
-
 def test_shift_bridge_rotates_left(graphical_bridges_by_n):
     for b in graphical_bridges_by_n[5]:
         j = bijections.first_irreducible_length(b) // 2
@@ -65,24 +56,8 @@ def test_shift_bridge_rotates_left(graphical_bridges_by_n):
 def test_shift_zero_is_identity(graphical_bridges_by_n):
     for b in graphical_bridges_by_n[6]:
         assert bijections.shift_bridge(bijections.ShiftedPair(b, 0)) == b
-
-
-def test_shift_map_image_is_divisible_area_bridges(graphical_bridges_by_n):
-    for n in range(1, 7):
-        images = {
-            bijections.shift_bridge(p) for p in bijections.enumerate_shifted_pairs(n)
-        }
-        target = {
-            b for b in bridges.enumerate_bridges(n) if bridges.diamond_area(b) % n == 0
-        }
-        assert images == target
-        assert len(images) == len(list(bijections.enumerate_shifted_pairs(n)))
-
-
-def test_unshift_round_trip(graphical_bridges_by_n):
-    for n in range(1, 7):
-        for pair in bijections.enumerate_shifted_pairs(n):
-            assert bijections.unshift_bridge(bijections.shift_bridge(pair)) == pair
+    # the empty bridge has no first irreducible part to shift within
+    assert list(bijections.enumerate_shifted_pairs(0)) == []
 
 
 def test_unshift_rejects_bad_area():

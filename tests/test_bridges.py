@@ -13,11 +13,6 @@ from scipy import stats
 
 from treebridges import bijections, bridges, series, trees, walks_mc
 
-# graphical bridge counts by half-length, starting at the empty bridge
-BRIDGE_COUNTS = (1, 2, 4, 8, 17, 38, 92, 236, 643, 1834)
-# irreducible counts by half-length, starting at n = 1
-IRREDUCIBLE_COUNTS = (2, 0, 0, 1, 2, 8, 20, 66)
-
 even_walks = st.lists(st.sampled_from((1, -1)), min_size=0, max_size=30).map(
     lambda xs: tuple(xs[: len(xs) - len(xs) % 2])
 )
@@ -80,10 +75,6 @@ def test_enumerate_bridges_shape():
     assert list(bridges.enumerate_bridges(0)) == [()]
 
 
-def test_graphical_bridge_counts_frozen_row():
-    assert bridges.graphical_bridge_counts(9) == BRIDGE_COUNTS
-
-
 @pytest.mark.parametrize("n", [40, 23, 9])
 def test_graphical_bridge_counts_prefix_consistent(n):
     # the prune depends on n_max, yet every shorter count must stay exact
@@ -114,18 +105,6 @@ def _bridge_layers(n_max):
                 v >>= w
                 sigma += 1
         yield layer
-
-
-def test_bridge_layers_keep_every_state_a_bridge_visits(graphical_bridges_by_n):
-    for n, found in graphical_bridges_by_n.items():
-        layers = list(_bridge_layers(n))
-        assert len(layers) == n + 1
-        for b in found:
-            height = sigma = 0
-            for k in range(1, n + 1):
-                height += b[2 * k - 2] + b[2 * k - 1]
-                sigma += height // 2
-                assert (height, sigma) in layers[k]
 
 
 def test_bridge_layers_keep_only_states_a_bridge_visits():
@@ -437,11 +416,6 @@ def test_field_width_holds_four_to_the_n(n, unpack):
     assert packed & (1 << w) - 1 == 4**n
 
 
-def test_count_matches_enumeration(graphical_bridges_by_n):
-    for n, found in graphical_bridges_by_n.items():
-        assert bridges.graphical_bridge_counts(7)[n] == len(found)
-
-
 def test_enumeration_is_the_filtered_bridge_list():
     # the depth-first walk against the definition, order included
     for n in range(10):
@@ -465,26 +439,6 @@ def test_decomposition_parts_concatenate(graphical_bridges_by_n):
                 assert bridges.is_irreducible_bridge(p)
 
 
-def test_decomposition_cuts_at_every_graphical_proper_prefix():
-    for n in range(1, 9):
-        for b in bridges.enumerate_graphical_bridges(n):
-            parts = bridges.irreducible_decomposition(b)
-            cuts = list(accumulate(len(p) for p in parts[:-1]))
-            graphical = [
-                i for i in range(2, 2 * n, 2)
-                if sum(b[:i]) == 0 and bridges.is_graphical_bridge(b[:i])
-            ]
-            assert cuts == graphical, b
-
-
-def test_irreducible_counts_by_enumeration(graphical_bridges_by_n):
-    for n in range(1, 8):
-        direct = sum(
-            1 for b in graphical_bridges_by_n[n] if bridges.is_irreducible_bridge(b)
-        )
-        assert direct == IRREDUCIBLE_COUNTS[n - 1]
-
-
 def test_irreducible_walk_matches_the_enumeration_and_the_inversion():
     cap = bridges.ENUMERATION_CAP
     walked = bridges.count_irreducible_bridges(cap)
@@ -497,22 +451,6 @@ def test_irreducible_walk_matches_the_enumeration_and_the_inversion():
     # a smaller budget walks fewer lengths and counts them the same
     for n_max in range(1, cap):
         assert bridges.count_irreducible_bridges(n_max) == walked[: n_max + 1]
-
-
-def test_empty_bridge_is_graphical_but_not_irreducible():
-    assert bridges.is_graphical_bridge(())
-    assert not bridges.is_irreducible_bridge(())
-
-
-def test_irreducible_scan_matches_the_decomposition():
-    # the one-scan test against its definition on every bridge, the
-    # non-graphical ones included
-    for n in range(9):
-        for b in bridges.enumerate_bridges(n):
-            want = bridges.is_graphical_bridge(b) and len(
-                bridges.irreducible_decomposition(b)
-            ) == 1
-            assert bridges.is_irreducible_bridge(b) == want, b
 
 
 def test_renewal_scan_matches_the_even_prefix_areas():

@@ -37,17 +37,6 @@ def test_bounded_real_interval_api():
     assert not x.low <= 1.8 <= x.high
 
 
-def test_tree_count_table_matches_per_index_formula():
-    table = trees.plane_tree_counts(80)
-    for n in range(1, 81):
-        assert table[n] == trees.plane_tree_count(n)
-
-
-def test_tree_count_table_spot_value():
-    # one deep value, recomputed through the independent divisor formula
-    assert trees.plane_tree_counts(150)[150] == trees.plane_tree_count(150)
-
-
 def test_tail_bound_premise():
     # every term of the series is at most 2 binomial(2k-1, k) / (k^2 4^k),
     # which is what the closed-form tail bound integrates
@@ -213,14 +202,3 @@ def test_exact_zero_area_prob_brackets_reference():
     rho = constants.exact_zero_area_prob()
     assert abs(rho.value - RHO_REF) <= rho.error_bound + REF_SLOP
     assert 0.0 < rho.low and rho.high < 1.0
-
-
-def test_growth_constant_prefactor_consistency():
-    # eliminating the series between the two limit formulas leaves
-    # C * sqrt(1 - rho) = prefactor
-    c = constants.count_growth_constant()
-    rho = constants.exact_zero_area_prob()
-    pref = constants.gamma_prefactor()
-    lo = c.low * math.sqrt(1 - rho.high)
-    hi = c.high * math.sqrt(1 - rho.low)
-    assert lo <= pref.high and pref.low <= hi

@@ -80,13 +80,6 @@ def test_graphical_sequence_counts_prefix_consistent(n):
         assert graphseq.graphical_sequence_counts(m) == full[: m + 1]
 
 
-def test_count_matches_graph_oracle():
-    for n in range(1, 7):
-        assert graphseq.count_graphical_sequences(n) == len(
-            graphseq.all_graph_degree_sequences(n)
-        )
-
-
 def test_ratio_table_shape_and_band():
     rows = graphseq.ratio_table(12)
     assert [r[0] for r in rows] == list(range(1, 13))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -33,16 +34,23 @@ def test_euler_phi_multiplicative_on_coprime_pairs(a, b):
         assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
 
 
-def test_divisors_small():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(97) == [1, 97]
-    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-
-
 def test_divisors_sorted_and_complete():
     for n in range(1, 200):
         assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+
+
+def test_euler_phi_keeps_nothing_per_argument():
+    # euler_phi takes any n up to the 10**12 cap, so an entry kept per
+    # distinct argument would grow with every new one
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(10**6, 10**6 + 5000):
+            euler_phi(n)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 # every public entry point whose integer argument is checked by check_size:
@@ -103,6 +111,9 @@ BOUNDARY = {
     "parts_count_distribution": (series.parts_count_distribution, "n", 1, series.PARTS_CAP),
     "mean_inverse_parts": (series.mean_inverse_parts, "n", 1, series.PARTS_CAP),
     "parts_negbin_tv_distance": (series.parts_negbin_tv_distance, "n", 1, series.PARTS_CAP),
+    "enumerate_shifted_pairs": (
+        lambda v: list(bijections.enumerate_shifted_pairs(v)), "n", 0, bridges.ENUMERATION_CAP,
+    ),
     "all_graph_degree_sequences": (
         graphseq.all_graph_degree_sequences, "n", 0, graphseq.ORACLE_CAP,
     ),
@@ -112,7 +123,7 @@ BOUNDARY = {
         graphseq.graphical_sequence_counts, "n_max", 0, graphseq.COUNT_CAP,
     ),
     "is_graphical_sequence": (lambda v: graphseq.is_graphical_sequence((0, v)), "degree", 0, 1),
-    "euler_phi": (lambda v: euler_phi(n=v), "n", 1, TRIAL_DIVISION_CAP),
+    "euler_phi": (euler_phi, "n", 1, TRIAL_DIVISION_CAP),
     "divisors": (divisors, "n", 1, TRIAL_DIVISION_CAP),
     "tree_series": (
         lambda v: constants.tree_series(terms=v), "terms", 1, trees.TREE_TABLE_CAP,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treebridges import bridges, series, trees
+from treebridges import bridges, series
 
 IRREDUCIBLE_ROW = [0, 2, 0, 0, 1, 2, 8, 20, 66, 200, 644]
 
@@ -23,12 +23,6 @@ def test_log_transform_of_geometric_sequence():
     for c in (1, 2, 5):
         a = [c**n for n in range(12)]
         assert series.log_transform(a) == a[1:]
-
-
-def test_log_transform_of_bridge_counts_doubles_tree_counts():
-    b = list(bridges.graphical_bridge_counts(30))
-    doubled = [2 * trees.plane_tree_count(n) for n in range(1, 31)]
-    assert series.log_transform(b) == doubled
 
 
 @given(st.lists(st.integers(-6, 6), min_size=0, max_size=12))
@@ -79,12 +73,6 @@ def test_parts_count_distribution_extremes():
         # n parts forces n minimal parts, each chosen 2 ways
         assert dist[n] == Fraction(2**n, b[n])
         assert dist[1] == Fraction(irr[n], b[n])
-
-
-def test_mean_inverse_parts_identity():
-    b = bridges.graphical_bridge_counts(20)
-    for n in range(1, 21):
-        assert series.mean_inverse_parts(n) * n * b[n] == 2 * trees.plane_tree_count(n)
 
 
 def test_mean_inverse_parts_small_values():

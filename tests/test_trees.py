@@ -63,24 +63,6 @@ def test_path_area_complement():
         assert trees.path_area(path) + trees.path_area(swapped) == n * n
 
 
-def test_count_paths_area_divisible_matches_bruteforce():
-    for n in range(1, 9):
-        assert trees.count_paths_area_divisible(n) == trees.count_paths_area_divisible_bruteforce(n)
-
-
-def test_count_paths_area_divisible_doubles_tree_count():
-    for n in range(1, 41):
-        assert trees.count_paths_area_divisible(n) == 2 * trees.plane_tree_count(n)
-
-
-def test_count_paths_by_final_step_split():
-    for n in range(1, 26):
-        up, right = trees.count_paths_by_final_step(n)
-        t = trees.plane_tree_count(n)
-        assert (up, right) == (t, t)
-        assert up + right == trees.count_paths_area_divisible(n)
-
-
 def _list_paths_by_final_step(n):
     # the per-entry form of the packed path DP: one list entry per residue
     col = [[0] * n for _ in range(n + 1)]
