@@ -178,9 +178,8 @@ def test_verify_rejects_unknown_suite(capsys):
 def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
     # T(5) one too high makes bridge_counts_from_trees meet a
     # non-integer count and raise inside a check: that check prints
-    # FAIL with the exception under the same readable name as when it
-    # runs, every other check still runs, and the exit code is 1, not a
-    # traceback
+    # FAIL with the exception, every other check still runs, and the
+    # exit code is 1, not a traceback
     real = trees.plane_tree_counts
 
     def off_by_one(n_max):
@@ -196,12 +195,30 @@ def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
     assert code == 1
     assert len(lines) == len(VERIFY_ALL)
     assert any(line.startswith("FAIL") and "raised AssertionError" in line for line in lines)
-    assert not [line for line in lines if line.startswith("FAIL check_")]
-    named = {line.split(" (", 1)[0][5:] for line in VERIFY_ALL[:-1]}
-    assert {line.split(" (", 1)[0][5:] for line in lines[:-1]} == named
     # argument errors still raise before any check runs
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "0")
     assert code == 2 and not out and "n_max" in err
+
+
+def test_verify_names_a_raising_check_by_its_title(capsys, monkeypatch):
+    # a check that raises prints the same readable name as when it runs
+    real = trees.plane_tree_counts
+
+    def off_by_one(n_max):
+        t = list(real(n_max))
+        if n_max >= 5:
+            t[5] += 1
+        return tuple(t)
+
+    monkeypatch.setattr(trees, "plane_tree_counts", off_by_one)
+    monkeypatch.setattr(series, "plane_tree_counts", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert any("raised AssertionError" in line for line in lines)
+    assert not [line for line in lines if line.startswith("FAIL check_")]
+    named = {line.split(" (", 1)[0][5:] for line in VERIFY_ALL[:-1]}
+    assert {line.split(" (", 1)[0][5:] for line in lines[:-1]} == named
 
 
 def test_self_checks_raise_under_python_O():
