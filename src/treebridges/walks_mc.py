@@ -19,16 +19,17 @@ draw (_draw; 2-core x86-64, numpy 2.4).  Each share reads its own
 int8 block of at most 4 MB of draws in cache-sized tiles: a share of
 250,000 walks peaks near 10 MiB of numpy memory (tracemalloc, horizon
 16), and a process near 47 MB resident, most of it numpy itself
-(Python 3.11, numpy 2.4, x86-64).  A tile off the origin, of any
-width, is read in two levels: exact sums over sub-blocks of 32 steps
-give the state at every sub-block boundary, and only the sub-blocks
-that a certificate on those states cannot rule out are stepped through
-one step at a time (proof in _scan_block).
+(Python 3.11, numpy 2.4, x86-64).  Past the first 32 steps from the
+origin, every tile is read in two levels: exact sums over sub-blocks of
+32 steps give the state at every sub-block boundary, and only the
+sub-blocks that a certificate on those states cannot rule out are
+stepped through one step at a time (proof in _scan_block).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import random
@@ -46,12 +47,15 @@ from .numtheory import check_size
 # layout, so every count depends on them, and cap a share at 250,000 walks
 _BLOCK_BUDGET = 4_000_000
 _MIN_WIDTH = 16
-# elements per tile of the block scan: its two int64 running sums take
-# 1 MiB where a tile is stepped through whole
-_TILE = 65_536
 # steps per sub-block of the two-level tile scan in _scan_block, the
 # fastest of 8, 16, 32 and 64
 _SUB = 32
+# elements per tile of a block that starts a walker at (0, 0), whose
+# stepped-through int64 running sums then take at most 1 MiB; and
+# sub-blocks per tile of any other block, 1 MiB as float32, which keeps
+# the sub-block matmul at most 8,192 rows (see estimate_zero_area_prob)
+_TILE = 65_536
+_TWO_LEVEL_SUBS = 4 * _TILE // _SUB
 # raw 64-bit words read per chunk by _draw, 256 KiB
 _RAW_WORDS = 1 << 15
 # the increment of each of the four equally likely draws
@@ -192,6 +196,16 @@ def _may_stop(y_start, y_end, a_start):
     return maybe
 
 
+@functools.cache
+def _sub_weights():
+    """The (_SUB, 2) matrix of the sub-block sums (see _scan_block)."""
+    import numpy as np
+
+    weights = np.ones((_SUB, 2), dtype=np.float32)
+    weights[:, 1] = np.arange(_SUB, 0, -1)
+    return weights
+
+
 def _sub_block_scan(d, y, area):
     """_step_scan's result for int8 increments d of any width, stepping
     only through the sub-blocks where a stop can fall; the last
@@ -200,12 +214,11 @@ def _sub_block_scan(d, y, area):
 
     rows, cols = d.shape
     pad = -cols % _SUB
-    f = np.zeros((rows, cols + pad), dtype=np.float32)
+    f = np.empty((rows, cols + pad), dtype=np.float32)
     f[:, :cols] = d
+    f[:, cols:] = 0
     f = f.reshape(-1, _SUB)
-    weights = np.ones((_SUB, 2), dtype=np.float32)
-    weights[:, 1] = np.arange(_SUB, 0, -1)
-    sums = (f @ weights).astype(np.int64).reshape(rows, -1, 2)
+    sums = (f @ _sub_weights()).astype(np.int64).reshape(rows, -1, 2)
     y_end = np.cumsum(sums[..., 0], axis=1)
     y_end += y[:, None]
     y_start = y_end - sums[..., 0]
@@ -232,12 +245,13 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     """Run the walks whose draws are the rows of the int8 block u from
     the states (y, area); returns (zero, negative, alive).
 
-    The block is read in tiles of at most _TILE elements: row groups of
-    max(1, _TILE // width) rows, each read in column chunks of
-    _TILE // rows columns that carry every row's (height, area) to the
-    next chunk.  A group of several rows fits in one chunk, so only a
-    lone row is read in several, and the chunks after the one it stops
-    in are never read.  The states of the alive rows, in row order, are
+    The block is read in tiles: row groups, each read in column chunks
+    that carry every row's (height, area) to the next chunk.  A block
+    that starts a walker at (0, 0) has groups of max(1, _TILE // width)
+    rows and chunks of _TILE // rows columns; any other has tiles of at
+    most _TWO_LEVEL_SUBS sub-blocks, padding included.  A group of several rows fits in one chunk, so
+    only a lone row is read in several, and the chunks after the one it
+    stops in are never read.  The states of the alive rows, in row order, are
     written to the front of y and area.
 
     A tile is read in two levels by _sub_block_scan.  Its increments are
@@ -268,7 +282,10 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
 
     A share's first block starts every walker at (0, 0), where the
     candidates are dense and half the walkers stop at their first step,
-    so a tile whose walkers all start there is stepped through whole.
+    so a group whose walkers all start there is stepped through for B
+    steps, and its survivors, picked in row order, read the rest of the
+    chunk in two levels: a stop in those steps comes first, so each row
+    is counted at its first stop, and the survivors stay in row order.
     No alive walker is at (0, 0) after a step, since that state is a
     stop, so every other tile is read in two levels, whatever its
     width: the padding argument holds for a tile narrower than one
@@ -277,16 +294,29 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     import numpy as np
 
     total, width = u.shape
-    group = max(1, _TILE // width)
-    chunk = _TILE // group
+    if ((y == 0) & (area == 0)).any():
+        group = max(1, _TILE // width)
+        chunk = _TILE // group
+    else:
+        group = max(1, _TWO_LEVEL_SUBS // -(-width // _SUB))
+        chunk = _TWO_LEVEL_SUBS // group * _SUB
     zero = negative = alive = 0
     for g0 in range(0, total, group):
         yg = y[g0 : g0 + group]
         ag = area[g0 : g0 + group]
         for c0 in range(0, width, chunk):
             d = _increments(u[g0 : g0 + group, c0 : c0 + chunk])
-            scan = _sub_block_scan if yg.any() or ag.any() else _step_scan
-            hit, stop_area, y_end, a_end = scan(d, yg, ag)
+            if not (c0 or yg.any() or ag.any()):
+                hit, stop_area, yg, ag = _step_scan(d[:, :_SUB], yg, ag)
+                zero += int(np.count_nonzero(stop_area == 0))
+                negative += int(np.count_nonzero(stop_area < 0))
+                d = d[:, _SUB:]
+                if hit.any():
+                    live = np.flatnonzero(~hit)
+                    d, yg, ag = d[live], yg[live], ag[live]
+                if not (yg.size and d.shape[1]):
+                    break
+            hit, stop_area, y_end, a_end = _sub_block_scan(d, yg, ag)
             zero += int(np.count_nonzero(stop_area == 0))
             negative += int(np.count_nonzero(stop_area < 0))
             yg = y_end[~hit]
@@ -355,9 +385,10 @@ def estimate_zero_area_prob(
     failing worker raises here.  Python 3.12+ may warn that forking a
     process with threads can deadlock: numpy's idle OpenBLAS threads
     exist.  The children's only BLAS call is the sub-block matmul of
-    _scan_block, at most 4,096 x 32 by 32 x 2, which OpenBLAS runs on
+    _scan_block, at most 8,192 x 32 by 32 x 2, which OpenBLAS runs on
     the calling thread, below its size for starting threads (measured:
-    its threads gain no CPU time at 8,192 rows, OpenBLAS 0.3.31).
+    its threads gain no CPU time up to 12,288 rows and as much as the
+    calling thread at 16,384, OpenBLAS 0.3.31).
     """
     check_size("samples", samples, 1)
     check_size("horizon", horizon, 1)

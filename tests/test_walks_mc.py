@@ -188,15 +188,30 @@ def test_tiled_scan_gives_the_whole_block_counts(samples, horizon, seed):
     assert walks_mc._run_worker(samples, horizon, seed, 0) == want
 
 
+# elements per tile of a block read in two levels, the widest tile
+TWO_LEVEL_TILE = walks_mc._TWO_LEVEL_SUBS * walks_mc._SUB
+
+
+@pytest.fixture
+def sub_block_calls(monkeypatch):
+    # the shape of the increments of each _sub_block_scan call
+    calls = []
+    scan = walks_mc._sub_block_scan
+    monkeypatch.setattr(
+        walks_mc, "_sub_block_scan", lambda d, *s: calls.append(d.shape) or scan(d, *s)
+    )
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_lone_row_carries_its_state_across_chunks(seed):
-    # a +1 step and a lazy first chunk keep the row at height 1, so it
-    # cannot stop there, and its stop or final state depends on the
-    # (height, area) carried from chunk to chunk
-    width = 3 * walks_mc._TILE
+def test_lone_row_carries_its_state_across_chunks(seed, sub_block_calls):
+    # a +1 step and lazy steps through the widest tile keep the row at
+    # height 1, so it cannot stop there, and its stop or final state
+    # depends on the (height, area) carried from chunk to chunk
+    width = 3 * TWO_LEVEL_TILE
     u = np.random.default_rng(seed).integers(0, 4, size=(1, width), dtype=np.int8)
     u[0, 0] = walks_mc._STEPS.index(1)
-    u[0, 1 : walks_mc._TILE] = walks_mc._STEPS.index(0)
+    u[0, 1:TWO_LEVEL_TILE] = walks_mc._STEPS.index(0)
     incs = [walks_mc._STEPS[v] for v in u[0].tolist()]
     y = np.zeros(1, dtype=np.int64)
     area = np.zeros(1, dtype=np.int64)
@@ -210,6 +225,7 @@ def test_lone_row_carries_its_state_across_chunks(seed):
     if outcome is WalkOutcome.CAPPED:
         heights = np.cumsum(incs)
         assert (y[0], area[0]) == (heights[-1], heights.sum())
+    assert len(sub_block_calls) > 1
 
 
 @pytest.mark.parametrize(
@@ -270,34 +286,68 @@ def _near_edge_states(rng, rows):
 
 
 @pytest.mark.parametrize("width", range(1, 3 * B + 2))
-def test_two_level_scan_is_the_step_reference_at_every_width(width, monkeypatch):
+def test_two_level_scan_is_the_step_reference_at_every_width(width, sub_block_calls):
     # start states around the certificate's edges, where stops fall in
     # and next to the candidate sub-blocks; a tile off the origin is read
     # in two levels at every width, its last sub-block padded
-    calls = []
-    sub_block_scan = walks_mc._sub_block_scan
-    monkeypatch.setattr(
-        walks_mc, "_sub_block_scan", lambda *a: calls.append(1) or sub_block_scan(*a)
-    )
     rng = np.random.default_rng(width)
     stopped = 0
     for _ in range(4):
         u = rng.integers(0, 4, size=(60, width), dtype=np.int8)
         stopped += _assert_scan_is_the_reference(u, *_near_edge_states(rng, 60))
     assert stopped
-    assert calls
+    assert sub_block_calls
+
+
+def test_origin_scan_is_the_step_reference_at_every_width(sub_block_calls):
+    # from (0, 0), as in a share's first block, a group is stepped
+    # through for one sub-block, and its survivors, picked in row order,
+    # read the rest of the chunk in two levels
+    rng = np.random.default_rng(23)
+    for width in range(1, 3 * B + 2):
+        u = rng.integers(0, 4, size=(60, width), dtype=np.int8)
+        _assert_scan_is_the_reference(u, [0] * 60, [0] * 60)
+    # two row groups, the survivors of both written to the front
+    width = 3 * B + 1
+    rows = walks_mc._TILE // width + 5
+    u = rng.integers(0, 4, size=(rows, width), dtype=np.int8)
+    _assert_scan_is_the_reference(u, [0] * rows, [0] * rows)
+    assert sub_block_calls[-1][1] == width - B
+    # lone rows one column past the origin tile's chunk, two of them
+    # kept at height 1 into the second chunk
+    sub_block_calls.clear()
+    width = walks_mc._TILE + 1
+    u = rng.integers(0, 4, size=(4, width), dtype=np.int8)
+    u[::2, 0] = UP
+    u[::2, 1 : width - 1] = LAZY
+    _assert_scan_is_the_reference(u, [0] * 4, [0] * 4)
+    assert sub_block_calls.count((1, 1)) == 2
+
+
+def test_origin_scan_breaks_or_keeps_every_row_after_its_first_sub_block(sub_block_calls):
+    rng = np.random.default_rng(29)
+    u = rng.integers(0, 4, size=(50, 3 * B + 1), dtype=np.int8)
+    # every row stops at area 0 at its first step: nothing is left
+    u[:, 0] = LAZY
+    assert walks_mc._scan_block(u, np.zeros(50, np.int64), np.zeros(50, np.int64)) == (50, 0, 0)
+    assert not sub_block_calls
+    # no row can stop while it climbs, so every row reads the rest
+    u[:, :B] = UP
+    _assert_scan_is_the_reference(u, [0] * 50, [0] * 50)
+    assert sub_block_calls == [(50, 2 * B + 1)]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_lone_rows_wider_than_a_tile_are_the_step_reference(seed):
+def test_lone_rows_wider_than_a_tile_are_the_step_reference(seed, sub_block_calls):
     # a lazy first chunk below height 0 cannot stop and drives the area
     # far below 0, so the row stops or not in a later chunk, read in two
     # levels from the state carried across
     rng = np.random.default_rng(seed)
-    width = 2 * walks_mc._TILE + 17
+    width = 2 * TWO_LEVEL_TILE + 17
     u = rng.integers(0, 4, size=(1, width), dtype=np.int8)
-    u[0, : walks_mc._TILE] = LAZY
+    u[0, :TWO_LEVEL_TILE] = LAZY
     _assert_scan_is_the_reference(u, [-1 - seed], [5000])
+    assert len(sub_block_calls) > 1
     for _ in range(3):
         u = rng.integers(0, 4, size=(1, width), dtype=np.int8)
         _assert_scan_is_the_reference(u, *_near_edge_states(rng, 1))
