@@ -11,19 +11,19 @@ which is why estimates carry the capped fraction alongside the
 standard error.  The walks are split into shares, and the worker of
 share w derives its own substream from (seed, w); the shares run
 concurrently on at most min(workers, shares, CPU count) forked
-processes.  A share reads its
-draws from its PCG64's raw 64-bit words, one byte per draw: the stream
-is exactly the one numpy's Generator.integers makes for int8 draws in
-[0, 4), at about a quarter of its cost: 1.1-1.2 against 4.5-4.8 ns per
-draw (_draw; 2-core x86-64, numpy 2.4).  Each share reads its own
-int8 block of at most 4 MB of draws in cache-sized tiles: a share of
-250,000 walks peaks near 10 MiB of numpy memory (tracemalloc, horizon
-16), and a process near 47 MB resident, most of it numpy itself
-(Python 3.11, numpy 2.4, x86-64).  Past the first 32 steps from the
-origin, every tile is read in two levels: exact sums over sub-blocks of
-32 steps give the state at every sub-block boundary, and only the
-sub-blocks that a certificate on those states cannot rule out are
-stepped through one step at a time (proof in _scan_block).
+processes.  A share reads its draws from its PCG64's raw 64-bit
+words, one byte per draw: the stream is exactly the one numpy's
+Generator.integers makes for int8 draws in [0, 4), at about a quarter
+of its cost: 1.1-1.2 against 4.5-4.8 ns per draw (_draw; 2-core
+x86-64, numpy 2.4).  Each share reads its own int8 block of at most
+4 MB of draws in cache-sized tiles: a share of 250,000 walks peaks near
+10 MiB of numpy memory (tracemalloc, horizon 16), and a process near
+47 MB resident, most of it numpy itself (Python 3.11, numpy 2.4,
+x86-64).  Past the first 32 steps from the origin, every tile is read
+in two levels: exact sums over sub-blocks of 32 steps give the state at
+every sub-block boundary, and only the sub-blocks that a certificate on
+those states cannot rule out are stepped through one step at a time
+(proof in _scan_block).
 """
 
 from __future__ import annotations
@@ -50,12 +50,10 @@ _MIN_WIDTH = 16
 # steps per sub-block of the two-level tile scan in _scan_block, the
 # fastest of 8, 16, 32 and 64
 _SUB = 32
-# elements per tile of a block that starts a walker at (0, 0), whose
-# stepped-through int64 running sums then take at most 1 MiB; and
-# sub-blocks per tile of any other block, 1 MiB as float32, which keeps
-# the sub-block matmul at most 8,192 rows (see estimate_zero_area_prob)
-_TILE = 65_536
-_TWO_LEVEL_SUBS = 4 * _TILE // _SUB
+# sub-blocks per tile (the tile rule is in _scan_block), 1 MiB as
+# float32, which keeps the sub-block matmul at most 8,192 rows (see
+# estimate_zero_area_prob)
+_TWO_LEVEL_SUBS = 8_192
 # raw 64-bit words read per chunk by _draw, 256 KiB
 _RAW_WORDS = 1 << 15
 # the increment of each of the four equally likely draws
@@ -129,13 +127,14 @@ def _draw(bit_gen, out):
 
     For a range of 4, numpy's bounded int8 draw is Lemire's method on
     buffered bytes, with rejection threshold (255 - 3) % 4 = 0, so it
-    never rejects: each draw is (4 byte) >> 8 = byte >> 6 of one byte.  One call reads ceil(n / 4) 32-bit
-    halves, each low byte first, and each new 64-bit word gives its low
-    half first, so the bytes of the raw words in little-endian order are
-    the draws' bytes.  A call starts with the high half that the last
-    one left unused (PCG64's has_uint32), and one that ends on a low
-    half leaves the high half for the next.  The words are read in
-    chunks of _RAW_WORDS and shifted straight into out.
+    never rejects: each draw is (4 byte) >> 8 = byte >> 6 of one byte.
+    One call reads ceil(n / 4) 32-bit halves, each low byte first, and
+    each new 64-bit word gives its low half first, so the bytes of the
+    raw words in little-endian order are the draws' bytes.  A call
+    starts with the high half that the last one left unused (PCG64's
+    has_uint32), and one that ends on a low half leaves the high half
+    for the next.  The words are read in chunks of _RAW_WORDS and
+    shifted straight into out.
     """
     import numpy as np
 
@@ -246,13 +245,14 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     the states (y, area); returns (zero, negative, alive).
 
     The block is read in tiles: row groups, each read in column chunks
-    that carry every row's (height, area) to the next chunk.  A block
-    that starts a walker at (0, 0) has groups of max(1, _TILE // width)
-    rows and chunks of _TILE // rows columns; any other has tiles of at
-    most _TWO_LEVEL_SUBS sub-blocks, padding included.  A group of several rows fits in one chunk, so
-    only a lone row is read in several, and the chunks after the one it
-    stops in are never read.  The states of the alive rows, in row order, are
-    written to the front of y and area.
+    that carry every row's (height, area) to the next chunk.  The tile
+    rule depends on the width alone: with S = _TWO_LEVEL_SUBS, a group
+    has max(1, S // ceil(width / _SUB)) rows and a chunk S // rows
+    sub-blocks, so a tile holds at most S sub-blocks, padding included.
+    A group of several rows fits in one chunk, so only a lone row is
+    read in several, and the chunks after the one it stops in are never
+    read.  The states of the alive rows, in row order, are written to
+    the front of y and area.
 
     A tile is read in two levels by _sub_block_scan.  Its increments are
     cut into sub-blocks of B = _SUB steps, the last one padded with zero
@@ -294,12 +294,8 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     import numpy as np
 
     total, width = u.shape
-    if ((y == 0) & (area == 0)).any():
-        group = max(1, _TILE // width)
-        chunk = _TILE // group
-    else:
-        group = max(1, _TWO_LEVEL_SUBS // -(-width // _SUB))
-        chunk = _TWO_LEVEL_SUBS // group * _SUB
+    group = max(1, _TWO_LEVEL_SUBS // -(-width // _SUB))
+    chunk = _TWO_LEVEL_SUBS // group * _SUB
     zero = negative = alive = 0
     for g0 in range(0, total, group):
         yg = y[g0 : g0 + group]

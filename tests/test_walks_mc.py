@@ -71,7 +71,7 @@ def test_simulate_stopped_walk_rejects_non_int_seed():
 def test_estimate_memory_stays_within_the_block_budget():
     # a worker runs at most 250,000 walks at a time, so the first block,
     # 16 steps wide, stays within _BLOCK_BUDGET elements: the run peaks
-    # near 10 MiB, and near 32 MiB in one block of 1e6 walks
+    # near 11 MiB, and near 33 MiB in one block of 1e6 walks
     tracemalloc.start()
     try:
         est = walks_mc.estimate_zero_area_prob(1_000_000, 16, seed=5)
@@ -80,20 +80,23 @@ def test_estimate_memory_stays_within_the_block_budget():
         tracemalloc.stop()
     assert est.samples == 1_000_000
     assert 0.0 < est.capped_fraction < 1.0
-    assert peak < 150 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_one_share_peaks_at_its_block_state_and_one_tile():
-    # the int8 block of 250,000 x 16 draws is 3.8 MiB, the int64 height
-    # and area of 250,000 walks another 3.8 MiB, and one tile's two int64
-    # running sums 1 MiB, so 12 MiB leaves room for the tile's compares
-    tracemalloc.start()
-    try:
-        walks_mc._run_worker(250_000, 16, 1, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2**20
+    # the int8 block is 3.8 MiB, the int64 height and area 3.8 MiB at
+    # 250,000 walks and 1.9 MiB at 125,000, and the two int64 running sums
+    # of the origin head, 8,192 rows by the first 16 or 32 steps, 1 MiB or
+    # 2 MiB each, the widest head there is; 12 MiB leaves room for the
+    # head's compares
+    for samples, width in ((250_000, 16), (125_000, 32)):
+        tracemalloc.start()
+        try:
+            walks_mc._run_worker(samples, width, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, (samples, width)
 
 
 def _whole_block_run_worker(samples, horizon, seed, w):
@@ -172,9 +175,12 @@ def test_draw_is_generator_integers_call_by_call():
         (12, 300_000, 9),
         (30, 400_000, 5),
         (30, 400_000, 0),
-        # rows x width just past a tile: a short second row group
+        # rows just past a row group, 8,192 rows at width 20 and 4,096 at
+        # width 40: a short second row group; the first two fit in one
         (4097, 16, 2),
         (4100, 20, 3),
+        (8200, 20, 3),
+        (4097, 40, 2),
         # one walker
         (1, 100_000, 4),
         (1, 5, 5),
@@ -307,16 +313,21 @@ def test_origin_scan_is_the_step_reference_at_every_width(sub_block_calls):
     for width in range(1, 3 * B + 2):
         u = rng.integers(0, 4, size=(60, width), dtype=np.int8)
         _assert_scan_is_the_reference(u, [0] * 60, [0] * 60)
-    # two row groups, the survivors of both written to the front
-    width = 3 * B + 1
-    rows = walks_mc._TILE // width + 5
-    u = rng.integers(0, 4, size=(rows, width), dtype=np.int8)
-    _assert_scan_is_the_reference(u, [0] * rows, [0] * rows)
-    assert sub_block_calls[-1][1] == width - B
-    # lone rows one column past the origin tile's chunk, two of them
-    # kept at height 1 into the second chunk
+    # two row groups, the survivors of both written to the front; the
+    # second group's five rows climb through the first sub-block, so
+    # none stops there and both groups read the rest in two levels
     sub_block_calls.clear()
-    width = walks_mc._TILE + 1
+    width = 3 * B + 1
+    rows = walks_mc._TWO_LEVEL_SUBS // -(-width // B) + 5
+    u = rng.integers(0, 4, size=(rows, width), dtype=np.int8)
+    u[-5:, :B] = UP
+    _assert_scan_is_the_reference(u, [0] * rows, [0] * rows)
+    assert [cols for _, cols in sub_block_calls] == [width - B] * 2
+    assert sub_block_calls[-1] == (5, width - B)
+    # lone rows one column past a tile's chunk, two of them kept at
+    # height 1 into the second chunk
+    sub_block_calls.clear()
+    width = TWO_LEVEL_TILE + 1
     u = rng.integers(0, 4, size=(4, width), dtype=np.int8)
     u[::2, 0] = UP
     u[::2, 1 : width - 1] = LAZY
