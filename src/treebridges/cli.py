@@ -191,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="substreams to split the walks into; they run on at most "
-        "min(workers, substreams, CPU count) forked processes of about 50 MB each",
+        help="substreams to split the walks into, not processes; each "
+        "substream's walks are split by rows over min(CPU count, its walks) "
+        "processes of about 50 MB each",
     )
     p_mc.set_defaults(func=cmd_rho_mc)
 

@@ -8,22 +8,47 @@ Runs that never stop within the horizon are reported as capped, never
 silently dropped: nothing here guarantees the stop comes in finite
 time, and at horizon 10^6 roughly 1.8 percent of runs are still going,
 which is why estimates carry the capped fraction alongside the
-standard error.  The walks are split into shares, and the worker of
-share w derives its own substream from (seed, w); the shares run
-concurrently on at most min(workers, shares, CPU count) forked
-processes.  A share reads its draws from its PCG64's raw 64-bit
-words, one byte per draw: the stream is exactly the one numpy's
-Generator.integers makes for int8 draws in [0, 4), at about a quarter
-of its cost: 1.1-1.2 against 4.5-4.8 ns per draw (_draw; 2-core
-x86-64, numpy 2.4).  Each share reads its own int8 block of at most
-4 MB of draws in cache-sized tiles: a share of 250,000 walks peaks near
-10 MiB of numpy memory (tracemalloc, horizon 16), and a process near
-47 MB resident, most of it numpy itself (Python 3.11, numpy 2.4,
-x86-64).  Past the first 32 steps from the origin, every tile is read
-in two levels: exact sums over sub-blocks of 32 steps give the state at
-every sub-block boundary, and only the sub-blocks that a certificate on
-those states cannot rule out are stepped through one step at a time
-(proof in _scan_block).
+standard error.  The walks are split into shares, and share w derives
+its own substream from (seed, w); the shares run one after another,
+each split by rows over min(CPU count, the share's walks) processes.
+A share reads its draws from its PCG64's raw 64-bit words, one byte
+per draw: the stream is exactly the one numpy's Generator.integers
+makes for int8 draws in [0, 4), at about a quarter of its cost:
+1.1-1.2 against 4.5-4.8 ns per draw (_draw; 2-core x86-64, numpy
+2.4).  Each part reads its rows of the share's int8 block of at most
+4 MB of draws in cache-sized tiles: a share of 250,000 walks in one
+part peaks near 10 MiB of numpy memory (tracemalloc, horizon 16), and a
+process near 47 MB resident, most of it numpy itself (Python 3.11,
+numpy 2.4, x86-64).  Past the first 32 steps from the origin, every
+tile is read in two levels: exact sums over sub-blocks of 32 steps give
+the state at every sub-block boundary, and only the sub-blocks that a
+certificate on those states cannot rule out are stepped through one
+step at a time (proof in _scan_block).
+
+The row split rests on two facts.  The walkers of a block are
+independent, and the block's width depends only on the share's total
+alive count and the steps done.  Part p keeps the contiguous rows it starts with, and
+after each block its survivors stay in place, in row order; so the
+share's alive rows, in row order, are part 0's, then part 1's, and so
+on.  Before each block the parts swap their alive counts, which gives
+each part the width and its offset, the rows alive before it.
+
+The byte-stream fact: block k, of n_k draws, reads bytes
+[4 H_k, 4 H_k + n_k) of the little-endian byte stream of the PCG64's
+raw words, where H_k = sum_{j<k} ceil(n_j / 4).  Proof: a _draw call
+of n draws reads ceil(n / 4) 32-bit halves and uses the first n of
+their bytes, low byte first.  It reads the high half that the last
+call left unused, if there is one, then the halves of new words, each
+word's low half before its high half; a call that ends on a low half
+leaves the high half to the next call.  So the calls read the words' halves in stream
+order, none skipped and none read twice: block k's first half is half
+H_k, whose first byte is byte 4 H_k.  A part whose rows start at row
+offset o in block k therefore reads bytes from b = 4 H_k + o * width
+on, and draws them alone: a PCG64 set to the share's start state and
+advanced by b // 8 words starts at the word that holds byte b, and the
+first b % 8 of _draw's draws from it are dropped (_draw_at).  So every
+count depends on (samples, horizon, seed, w) and not on the count of
+parts.
 """
 
 from __future__ import annotations
@@ -33,6 +58,7 @@ import functools
 import math
 import os
 import random
+import sys
 from typing import NamedTuple
 
 # the exact sampler lives in bridges; the benchmark's sampler job
@@ -327,6 +353,104 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
     return zero, negative, alive
 
 
+def _draw_at(bit_gen, state, first, n):
+    """The n draws at bytes [first, first + n) of the raw words' byte
+    stream from state (module docstring): bit_gen is set to state,
+    advanced to the word that holds byte first, and _draw's draws of
+    that word's bytes before it are dropped."""
+    import numpy as np
+
+    bit_gen.state = state
+    # advance also drops a carried high half
+    bit_gen.advance(first // 8)
+    skip = first % 8
+    return _draw(bit_gen, np.empty(skip + n, dtype=np.int8))[skip:]
+
+
+def _send(fd, counts):
+    """Write the (zero, negative, alive) triples counts to the pipe fd."""
+    import numpy as np
+
+    data = np.asarray(counts, dtype="<i8").tobytes()
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _receive(fd, parts):
+    """Read parts (zero, negative, alive) triples from the pipe fd; an
+    end of the pipe before them, from a part that died or raised,
+    raises."""
+    import numpy as np
+
+    size = 24 * parts
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise RuntimeError("a Monte Carlo part ended without sending its counts")
+        data += chunk
+    return np.frombuffer(data, dtype="<i8").reshape(parts, 3).tolist()
+
+
+def _run_part(bit_gen, sizes, horizon, p, exchange):
+    """(zero, negative, capped) of the share whose rows are split into
+    parts of sizes[q] contiguous rows, running part p's rows from
+    bit_gen's state.  exchange takes this part's running (zero,
+    negative, alive) after each block and returns every part's, in part
+    order: the next block's width depends on the share's alive count
+    alone, and part p's rows of it follow the alive rows of the parts
+    before it (module docstring)."""
+    import numpy as np
+
+    state = bit_gen.state
+    y = np.zeros(sizes[p], dtype=np.int64)
+    area = np.zeros(sizes[p], dtype=np.int64)
+    counts = [(0, 0, size) for size in sizes]
+    zero = negative = 0
+    done = halves = 0
+    while (total := sum(c[2] for c in counts)) and done < horizon:
+        width = min(max(_MIN_WIDTH, _BLOCK_BUDGET // total), horizon - done)
+        first = 4 * halves + width * sum(c[2] for c in counts[:p])
+        u = _draw_at(bit_gen, state, first, y.size * width).reshape(y.size, width)
+        z, ng, alive = _scan_block(u, y, area)
+        zero += z
+        negative += ng
+        y = y[:alive]
+        area = area[:alive]
+        done += width
+        # the 32-bit halves that one _draw call of the whole block reads
+        halves += -(-total * width // 4)
+        counts = exchange((zero, negative, alive))
+    return tuple(map(sum, zip(*counts)))
+
+
+def _run_child(part, fds, up, down, parts):
+    """In a forked child: close the pipe ends in fds other than up and
+    down, then run part(exchange), sending this part's counts up and
+    reading every part's from down.  It leaves only through os._exit,
+    with code 0 once the part has sent its last counts."""
+    code = 1
+    try:
+        for fd in fds:
+            if fd not in (up, down):
+                os.close(fd)
+
+        def exchange(counts):
+            _send(up, [counts])
+            return _receive(down, parts)
+
+        part(exchange)
+        code = 0
+    except Exception:
+        # the parent raises for the missing counts; the cause shows here
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
 def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int, int]:
     """(zero, negative, capped) of share w's samples walks, on the
     substream spawned from (seed, w): a PCG64 on
@@ -335,27 +459,56 @@ def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int
     Same increment law as simulate_stopped_walk (a uniform draw from
     four values: one maps to +1, one to -1, two to 0), drawn in int8
     blocks whose width adapts so alive * width stays within budget, and
-    read by _scan_block.  _draw fills each block from the PCG64's raw
-    words: block by block, the draws that Generator(PCG64(...)).integers
-    would give for int8 draws in [0, 4) of shape (alive, width).
+    read by _scan_block.  Block by block, the draws are those that
+    Generator(PCG64(...)).integers would give for int8 draws in [0, 4)
+    of shape (alive, width), read from the PCG64's raw words.
+
+    The rows are split into P = min(os.cpu_count(), samples) near-equal
+    contiguous parts, P = 1 without os.fork: this process runs part 0
+    and forks one child for each other part, with a pipe up to this
+    process and one down.  After each block this process reads every
+    child's counts, one triple each, and sends each child all of them.
+    Every child is reaped on return and on error; the counts do not
+    depend on P.
     """
     import numpy as np
 
     bit_gen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
-    y = np.zeros(samples, dtype=np.int64)
-    area = np.zeros(samples, dtype=np.int64)
-    zero = negative = 0
-    done = 0
-    while y.size and done < horizon:
-        width = min(max(_MIN_WIDTH, _BLOCK_BUDGET // y.size), horizon - done)
-        u = _draw(bit_gen, np.empty((y.size, width), dtype=np.int8))
-        z, ng, alive = _scan_block(u, y, area)
-        zero += z
-        negative += ng
-        y = y[:alive]
-        area = area[:alive]
-        done += width
-    return zero, negative, y.size
+    parts = min(os.cpu_count() or 1, samples) if hasattr(os, "fork") else 1
+    sizes = [samples // parts + (p < samples % parts) for p in range(parts)]
+    part = functools.partial(_run_part, bit_gen, sizes, horizon)
+    # this process's pipe ends, up then down for each child once forked,
+    # and the next child's own two ends until it is
+    fds = []
+    pids = []
+    try:
+        for p in range(1, parts):
+            up, child_up = os.pipe()
+            fds += (up, child_up)
+            child_down, down = os.pipe()
+            fds += (child_down, down)
+            pid = os.fork()
+            if not pid:
+                _run_child(functools.partial(part, p), fds, child_up, child_down, parts)
+            pids.append(pid)
+            for fd in (child_up, child_down):
+                fds.remove(fd)
+                os.close(fd)
+
+        def exchange(counts):
+            counts = [counts, *(c for up in fds[::2] for c in _receive(up, 1))]
+            for down in fds[1::2]:
+                _send(down, counts)
+            return counts
+
+        return part(0, exchange)
+    finally:
+        # the children's pipes end here, so a child still waiting for
+        # counts leaves before it is reaped
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def estimate_zero_area_prob(
@@ -372,19 +525,22 @@ def estimate_zero_area_prob(
     samples are split into min(samples, max(workers, ceil(_MIN_WIDTH *
     samples / _BLOCK_BUDGET))) near-equal shares, each small enough that
     its first block fits the budget, and share w runs on the substream
-    spawned from (seed, w).  The shares run concurrently on procs =
-    min(workers, shares, os.cpu_count()) processes forked from this
-    one, each holding its own int8 block of at most 4 MB and
-    peaking near 10 MiB of numpy memory; the counts are integer sums, so
-    they do not depend on procs.  With one process, or where the fork
-    start method does not exist, the shares run in this process.  A
-    failing worker raises here.  Python 3.12+ may warn that forking a
-    process with threads can deadlock: numpy's idle OpenBLAS threads
-    exist.  The children's only BLAS call is the sub-block matmul of
-    _scan_block, at most 8,192 x 32 by 32 x 2, which OpenBLAS runs on
-    the calling thread, below its size for starting threads (measured:
-    its threads gain no CPU time up to 12,288 rows and as much as the
-    calling thread at 16,384, OpenBLAS 0.3.31).
+    spawned from (seed, w).  workers counts substreams, not processes.
+    The shares run one after another, each split by rows over P =
+    min(os.cpu_count(), the share's walks) processes: this one and P - 1
+    forked from it, each holding only its own rows of the share's int8
+    block of at most 4 MB.  Each part reads its rows' bytes alone from
+    an advanced PCG64, which gives every block exactly the draws of one
+    sequential _draw call (the byte-stream fact, proved in the module
+    docstring), so the counts do not depend on P.  Without os.fork, P is
+    1.  A part that raises, or a child that dies, makes this raise, and
+    every child is reaped before it returns or raises.  Python 3.12+ may
+    warn that forking a process with threads can deadlock: numpy's idle
+    OpenBLAS threads exist.  The children's only BLAS call is the
+    sub-block matmul of _scan_block, at most 8,192 x 32 by 32 x 2, which
+    OpenBLAS runs on the calling thread, below its size for starting
+    threads (measured: its threads gain no CPU time up to 12,288 rows
+    and as much as the calling thread at 16,384, OpenBLAS 0.3.31).
     """
     check_size("samples", samples, 1)
     check_size("horizon", horizon, 1)
@@ -392,25 +548,8 @@ def estimate_zero_area_prob(
     check_size("seed", seed, 0)
     check_size("workers", workers, 1)
     shares = min(samples, max(workers, math.ceil(samples * _MIN_WIDTH / _BLOCK_BUDGET)))
-    procs = min(workers, shares, os.cpu_count() or 1)
-    if procs > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            procs = 1
     sizes = [samples // shares + (w < samples % shares) for w in range(shares)]
-    args = (sizes, [horizon] * shares, [seed] * shares, range(shares))
-    if procs == 1:
-        counts = list(map(_run_worker, *args))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # loaded before the fork, so the children do not each load it
-        import numpy  # noqa: F401
-
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(procs, mp_context=ctx) as pool:
-            counts = list(pool.map(_run_worker, *args, chunksize=-(-shares // procs)))
+    counts = map(_run_worker, sizes, [horizon] * shares, [seed] * shares, range(shares))
     zero, negative, capped = map(sum, zip(*counts))
     stopped = zero + negative
     if stopped:

@@ -32,7 +32,8 @@ def unpack():
 
 # the import contract: (name, step, modules that must still be unloaded
 # after it), run in order in one fresh interpreter.  Importing the CLI
-# loads neither numpy nor rho-mc's process pool; numpy costs a cold
+# loads none of numpy, multiprocessing and concurrent.futures (rho-mc
+# forks its own processes, with no process pool); numpy costs a cold
 # command about 0.1 s of import, and the sampler, the bridge DP and the
 # Frobenius sweep run on Python ints alone.  Without a bytecode cache
 # dataclasses (with inspect, ast and dis) costs a cold start about 6 ms

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import multiprocessing
 import os
 import random
+import signal
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -68,10 +67,13 @@ def test_simulate_stopped_walk_rejects_non_int_seed():
             walks_mc.simulate_stopped_walk(bad, 10)
 
 
-def test_estimate_memory_stays_within_the_block_budget():
-    # a worker runs at most 250,000 walks at a time, so the first block,
+def test_estimate_memory_stays_within_the_block_budget(monkeypatch):
+    # a share runs at most 250,000 walks at a time, so the first block,
     # 16 steps wide, stays within _BLOCK_BUDGET elements: the run peaks
-    # near 11 MiB, and near 33 MiB in one block of 1e6 walks
+    # near 11 MiB, and near 33 MiB in one block of 1e6 walks; one CPU
+    # keeps every share's rows in this process, where tracemalloc sees
+    # them
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     tracemalloc.start()
     try:
         est = walks_mc.estimate_zero_area_prob(1_000_000, 16, seed=5)
@@ -83,12 +85,13 @@ def test_estimate_memory_stays_within_the_block_budget():
     assert peak < 16 * 2**20
 
 
-def test_one_share_peaks_at_its_block_state_and_one_tile():
+def test_one_share_peaks_at_its_block_state_and_one_tile(monkeypatch):
     # the int8 block is 3.8 MiB, the int64 height and area 3.8 MiB at
     # 250,000 walks and 1.9 MiB at 125,000, and the two int64 running sums
     # of the origin head, 8,192 rows by the first 16 or 32 steps, 1 MiB or
     # 2 MiB each, the widest head there is; 12 MiB leaves room for the
-    # head's compares
+    # head's compares.  One CPU keeps the whole share in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     for samples, width in ((250_000, 16), (125_000, 32)):
         tracemalloc.start()
         try:
@@ -163,6 +166,59 @@ def test_draw_is_generator_integers_call_by_call():
         # the carried high half too, so the next call starts where
         # numpy's would
         assert bit_gen.state == want.bit_generator.state, size
+
+
+RAW_BYTES = 8 * walks_mc._RAW_WORDS
+
+
+def test_draw_at_is_a_slice_of_one_sequential_draw():
+    ss = np.random.SeedSequence(entropy=21, spawn_key=(0,))
+    bit_gen = np.random.PCG64(ss)
+    whole = walks_mc._draw(bit_gen, np.empty(3 * RAW_BYTES, dtype=np.int8))
+    start = np.random.PCG64(ss).state
+    # every start mod 8, in a word's low and high half, one word in or
+    # not; ranges across the sequential draw's first chunk of raw words;
+    # and ranges that read more than one chunk themselves
+    cases = [(b, n) for b in range(16) for n in (1, 3, 4, 5, 8, 13)]
+    cases += [(RAW_BYTES - b, 2 * b + 1) for b in (1, 4, 5, 8)]
+    cases += [(3, RAW_BYTES + 6), (RAW_BYTES + 7, RAW_BYTES + 9)]
+    for first, n in cases:
+        got = walks_mc._draw_at(bit_gen, start, first, n)
+        assert np.array_equal(got, whole[first : first + n]), (first, n)
+
+
+def test_draw_at_gives_every_call_of_a_sequential_draw():
+    # each _draw call of _DRAW_SIZES starts at byte 4 H for the H halves
+    # the calls before it read, a carried high half when H is odd
+    ss = np.random.SeedSequence(entropy=21, spawn_key=(0,))
+    start = np.random.PCG64(ss).state
+    bit_gen = np.random.PCG64(ss)
+    halves = 0
+    carried = 0
+    for size in _DRAW_SIZES:
+        want = walks_mc._draw(bit_gen, np.empty(size, dtype=np.int8)).reshape(-1)
+        got = walks_mc._draw_at(np.random.PCG64(ss), start, 4 * halves, want.size)
+        assert np.array_equal(got, want), size
+        carried += halves % 2
+        halves += -(-want.size // 4)
+    assert carried >= 5
+
+
+def test_every_block_holds_the_draws_of_one_sequential_draw_call(monkeypatch):
+    # the second and third blocks of this share, 23 x 173,913 and
+    # 9 x 18,087 draws, end inside a 32-bit half, so the next block
+    # starts at the next half; one CPU keeps every block in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    blocks = []
+    scan = walks_mc._scan_block
+    monkeypatch.setattr(
+        walks_mc, "_scan_block", lambda u, *s: blocks.append(u.copy()) or scan(u, *s)
+    )
+    walks_mc._run_worker(500, 200_000, 2, 0)
+    assert [u.size % 4 for u in blocks] == [0, 3, 3]
+    bit_gen = np.random.PCG64(np.random.SeedSequence(entropy=2, spawn_key=(0,)))
+    for u in blocks:
+        assert np.array_equal(u, walks_mc._draw(bit_gen, np.empty_like(u))), u.shape
 
 
 @pytest.mark.parametrize(
@@ -246,6 +302,89 @@ def test_run_worker_stream_is_pinned(samples, horizon, seed, counts):
     # (zero, negative, capped) on substream (seed, 0), frozen so that a
     # rewrite of the block scan cannot change the draws or their reading
     assert walks_mc._run_worker(samples, horizon, seed, 0) == counts
+
+
+@pytest.fixture
+def deadline():
+    # a part that waits for ever fails its test instead of stalling it
+    def expire(signum, frame):
+        raise TimeoutError("the Monte Carlo parts did not end within 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize(
+    "samples, horizon, seed, counts",
+    [
+        (3000, 5000, 0, (1545, 1258, 197)),
+        (20_000, 200, 1, (10288, 6693, 3019)),
+        (500, 200_000, 2, (262, 230, 8)),
+    ],
+)
+def test_the_count_of_parts_changes_no_count(
+    samples, horizon, seed, counts, monkeypatch, deadline
+):
+    # the pinned streams split by rows over 1, 2 and 3 processes
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert walks_mc._run_worker(samples, horizon, seed, 0) == counts, cpus
+
+
+@pytest.fixture
+def forks(monkeypatch, deadline):
+    # the processes this one forks
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.fixture
+def parent_block_rows(monkeypatch, deadline):
+    # the rows of each block that this process, part 0, scans
+    rows = []
+    parent = os.getpid()
+    scan = walks_mc._scan_block
+
+    def spy(u, y, area):
+        if os.getpid() == parent:
+            rows.append(u.shape[0])
+        return scan(u, y, area)
+
+    monkeypatch.setattr(walks_mc, "_scan_block", spy)
+    return rows
+
+
+def test_a_part_with_no_rows_left_runs_on_with_the_others(parent_block_rows, monkeypatch):
+    # at seed 0 part 0's three rows all stop in the first block while a
+    # walker of another part lives on into the second, where part 0
+    # draws and scans nothing
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    got = walks_mc._run_worker(9, 1_000_000, 0, 0)
+    assert parent_block_rows == [3, 0]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert walks_mc._run_worker(9, 1_000_000, 0, 0) == got
+
+
+def test_a_share_with_fewer_walks_than_cpus_runs_one_part_per_walk(
+    parent_block_rows, forks, monkeypatch
+):
+    for samples in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        want = [walks_mc._run_worker(samples, 300, seed, 1) for seed in range(6)]
+        parent_block_rows.clear()
+        forks.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [walks_mc._run_worker(samples, 300, seed, 1) for seed in range(6)] == want
+        # one walk per part: this process scans at most one row
+        assert set(parent_block_rows) <= {0, 1}
+        assert len(forks) == 6 * (samples - 1)
 
 
 B = walks_mc._SUB
@@ -450,8 +589,7 @@ def test_estimate_workers_past_samples_makes_one_share_per_walk():
 
 def test_shares_split_the_samples_into_near_equal_parts(monkeypatch):
     # share w runs samples // shares walks, one more for each of the first
-    # samples % shares shares, on the substream of (seed, w); one CPU
-    # keeps the spy in this process
+    # samples % shares shares, on the substream of (seed, w)
     ran = []
 
     def worker(samples, horizon, seed, w):
@@ -459,7 +597,6 @@ def test_shares_split_the_samples_into_near_equal_parts(monkeypatch):
         return samples, 0, 0
 
     monkeypatch.setattr(walks_mc, "_run_worker", worker)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     for samples, shares in ((1, 1), (10, 3), (7, 7), (1000, 6)):
         ran.clear()
         est = walks_mc.estimate_zero_area_prob(samples, 40, 9, workers=shares)
@@ -488,30 +625,100 @@ def test_two_share_stream_is_pinned(monkeypatch):
     assert counts == [(5152, 3336, 1512), (5173, 3339, 1488)]
 
 
-def test_pool_size_is_bounded_by_the_cpu_count(monkeypatch):
-    # the spy runs the map in this process, so no process is started
-    asked = []
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class Spy:
-        def __init__(self, max_workers, mp_context):
-            asked.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize("workers", [1, 2, 4, 10**12])
+def test_each_share_forks_one_child_per_other_part(workers, forks, monkeypatch):
+    # 10 walks in shares of 10, 5 + 5, 3 + 3 + 2 + 2 or 1 each, with
+    # three CPUs: P - 1 forks for each share of P = min(3, its walks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    got = walks_mc.estimate_zero_area_prob(10, 50, 3, workers)
+    shares = min(10, workers)
+    sizes = [10 // shares + (w < 10 % shares) for w in range(shares)]
+    assert len(forks) == sum(min(3, n) - 1 for n in sizes)
+    _assert_no_child_is_left()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert walks_mc.estimate_zero_area_prob(10, 50, 3, workers) == got
+    assert len(forks) == sum(min(3, n) - 1 for n in sizes)
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+def test_without_fork_a_share_runs_in_one_part(forks, monkeypatch):
+    want = walks_mc._run_worker(3000, 5000, 0, 0)
+    monkeypatch.delattr(os, "fork")
+    assert walks_mc._run_worker(3000, 5000, 0, 0) == want == (1545, 1258, 197)
+    assert len(forks) == min(os.cpu_count() or 1, 3000) - 1
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    got = walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10**12)
-    procs = min(10, os.cpu_count() or 1)
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    assert asked == ([procs] if procs > 1 and forks else [])
-    # one share per walk either way, so the counts are those of workers=10
-    assert got == walks_mc.estimate_zero_area_prob(10, 50, 3, workers=10)
+
+@pytest.fixture
+def fail_in(monkeypatch, deadline):
+    # make the block scan of the parent or of the children call fail()
+    parent = os.getpid()
+    scan = walks_mc._scan_block
+
+    def patch(where, fail):
+        def scan_or_fail(u, y, area):
+            if (os.getpid() == parent) == (where == "parent"):
+                fail()
+            return scan(u, y, area)
+
+        monkeypatch.setattr(walks_mc, "_scan_block", scan_or_fail)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    return patch
+
+
+def _raise_value_error():
+    raise ValueError("a failing part")
+
+
+def test_a_child_that_raises_makes_the_estimate_raise(fail_in, capfd):
+    fail_in("children", _raise_value_error)
+    with pytest.raises(RuntimeError, match="ended without sending its counts"):
+        walks_mc.estimate_zero_area_prob(1000, 100, 1)
+    _assert_no_child_is_left()
+    # each child shows its own cause
+    assert capfd.readouterr().err.count("ValueError: a failing part") == 2
+
+
+def test_a_child_that_dies_makes_the_estimate_raise(fail_in):
+    fail_in("children", lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match="ended without sending its counts"):
+        walks_mc.estimate_zero_area_prob(1000, 100, 1)
+    _assert_no_child_is_left()
+
+
+def test_a_parent_part_that_raises_reaps_every_child(fail_in):
+    # the children, waiting for the counts, find their pipes closed
+    fail_in("parent", _raise_value_error)
+    with pytest.raises(ValueError, match="a failing part"):
+        walks_mc.estimate_zero_area_prob(1000, 100, 1)
+    _assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("exc", [SystemExit, KeyboardInterrupt])
+def test_children_leave_only_through_os_exit(exc, fail_in, tmp_path):
+    # a child that got out of its part with an exception would run on
+    # from here, through the rest of this test
+    parent = os.getpid()
+
+    def raise_exc():
+        raise exc
+
+    fail_in("children", raise_exc)
+    caught = None
+    try:
+        walks_mc.estimate_zero_area_prob(1000, 100, 1)
+    except BaseException as e:
+        caught = e
+    if os.getpid() != parent:
+        (tmp_path / f"escaped-{os.getpid()}").touch()
+        os._exit(0)
+    assert isinstance(caught, RuntimeError), caught
+    assert not list(tmp_path.iterdir())
+    _assert_no_child_is_left()
 
 
 def test_estimate_single_sample():
