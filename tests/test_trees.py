@@ -20,10 +20,11 @@ def test_plane_tree_count_frozen_row():
 
 def test_zero_sum_multisets_matches_bruteforce():
     for n in range(1, 8):
+        row = trees.zero_sum_multiset_row(n)
         for k in range(8):
-            assert trees.zero_sum_multisets(n, k) == trees.zero_sum_multisets_bruteforce(
-                n, k
-            )
+            want = trees.zero_sum_multisets_bruteforce(n, k)
+            assert trees.zero_sum_multisets(n, k) == want
+            assert k > n or row[k] == want
 
 
 def test_zero_sum_multisets_edges():
@@ -35,10 +36,13 @@ def test_zero_sum_multisets_edges():
 def test_zero_sum_multisets_diagonal_gives_tree_counts():
     # swapping d -> n/d in the divisor sum turns one formula into the
     # other; the sieve builds the binomials by a ratio recurrence and the
-    # totients by a sieve, so the two routes share no code
+    # totients by a sieve, so the two routes share no code.  The row's
+    # ratio chains give every entry of the divisor sums, so its last is T(n)
     table = trees.plane_tree_counts(150)
     for n in (*range(1, 81), 150):
         assert trees.zero_sum_multisets(n, n) == table[n]
+        row = trees.zero_sum_multiset_row(n)
+        assert row == tuple(trees.zero_sum_multisets(n, k) for k in range(n + 1))
 
 
 def test_path_area_examples():

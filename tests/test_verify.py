@@ -174,6 +174,10 @@ MUTANTS = {
         trees, "zero_sum_multisets", lambda real: lambda n, k: real(n, k) + (n == 5),
         "zero-sum multiset formula matches direct enumeration", None,
     ),
+    "zero_sum_multiset_row-5": (
+        trees, "zero_sum_multiset_row", lambda real: lambda n: tuple(v + (n == 5) for v in real(n)),
+        "zero-sum multiset formula matches direct enumeration", None,
+    ),
     "count_bridges_area_divisible-5": (
         bridges, "count_bridges_area_divisible", lambda real: lambda n: real(n) + (n == 5),
         "divisible-area walk counts match divisible-area path counts", None,
