@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="substreams to split the walks into, not processes; each "
-        "substream's walks are split by rows over min(CPU count, its walks) "
-        "processes of about 50 MB each",
+        "substream's walks are split by rows over min(the CPUs this process "
+        "may run on, its walks) processes of about 50 MB each",
     )
     p_mc.set_defaults(func=cmd_rho_mc)
 

@@ -10,45 +10,51 @@ time, and at horizon 10^6 roughly 1.8 percent of runs are still going,
 which is why estimates carry the capped fraction alongside the
 standard error.  The walks are split into shares, and share w derives
 its own substream from (seed, w); the shares run one after another,
-each split by rows over min(CPU count, the share's walks) processes.
-A share reads its draws from its PCG64's raw 64-bit words, one byte
-per draw: the stream is exactly the one numpy's Generator.integers
-makes for int8 draws in [0, 4), at about a quarter of its cost:
-1.1-1.2 against 4.5-4.8 ns per draw (_draw; 2-core x86-64, numpy
-2.4).  Each part reads its rows of the share's int8 block of at most
-4 MB of draws in cache-sized tiles: a share of 250,000 walks in one
-part peaks near 10 MiB of numpy memory (tracemalloc, horizon 16), and a
-process near 47 MB resident, most of it numpy itself (Python 3.11,
-numpy 2.4, x86-64).  Past the first 32 steps from the origin, every
-tile is read in two levels: exact sums over sub-blocks of 32 steps give
-the state at every sub-block boundary, and only the sub-blocks that a
-certificate on those states cannot rule out are stepped through one
-step at a time (proof in _scan_block).
+each split by rows over min(the CPUs this process may run on, the
+share's walks) processes.  A share reads its draws from its PCG64's raw
+64-bit words, one byte per draw: the stream is exactly the one numpy's
+Generator.integers makes for int8 draws in [0, 4), at about a fifth
+of its cost: 0.4-0.7 against 2.3 ns per draw (_draw_at, median of 15
+calls of 4e6 draws; 2-core x86-64, numpy 2.4.6).  Each part reads its
+rows of the share's int8 block of at most 4 MB of draws in cache-sized
+tiles: a share of 250,000 walks in one part peaks near 10 MiB of numpy
+memory (tracemalloc, horizon 16), and a process near 47 MB resident,
+most of it numpy itself (Python 3.11, numpy 2.4, x86-64).  Past the
+first 32 steps from the origin, every tile is read in two levels: exact
+sums over sub-blocks of 32 steps give the state at every sub-block
+boundary, and only the sub-blocks that a certificate on those states
+cannot rule out are stepped through one step at a time (proof in
+_scan_block).
 
 The row split rests on two facts.  The walkers of a block are
 independent, and the block's width depends only on the share's total
-alive count and the steps done.  Part p keeps the contiguous rows it starts with, and
-after each block its survivors stay in place, in row order; so the
-share's alive rows, in row order, are part 0's, then part 1's, and so
-on.  Before each block the parts swap their alive counts, which gives
-each part the width and its offset, the rows alive before it.
+alive count and the steps done.  Part p keeps the contiguous rows it
+starts with, and after each block its survivors stay in place, in row
+order; so the share's alive rows, in row order, are part 0's, then part
+1's, and so on.  Before each block the parts swap their alive counts,
+which gives each part the width and its offset, the rows alive before
+it.
 
-The byte-stream fact: block k, of n_k draws, reads bytes
-[4 H_k, 4 H_k + n_k) of the little-endian byte stream of the PCG64's
-raw words, where H_k = sum_{j<k} ceil(n_j / 4).  Proof: a _draw call
-of n draws reads ceil(n / 4) 32-bit halves and uses the first n of
-their bytes, low byte first.  It reads the high half that the last
-call left unused, if there is one, then the halves of new words, each
-word's low half before its high half; a call that ends on a low half
-leaves the high half to the next call.  So the calls read the words' halves in stream
-order, none skipped and none read twice: block k's first half is half
-H_k, whose first byte is byte 4 H_k.  A part whose rows start at row
-offset o in block k therefore reads bytes from b = 4 H_k + o * width
+The byte-stream fact: block k, of n_k draws, holds the k-th of the
+sequential calls Generator(PCG64(...)).integers(0, 4, size=n_j,
+dtype=int8), j = 0, 1, ..., and these are the bytes [4 H_k, 4 H_k + n_k)
+of the little-endian byte stream of the PCG64's raw words, each shifted
+right by 6, where H_k = sum_{j<k} ceil(n_j / 4).  Proof: for a range of
+4, numpy's bounded int8 draw is Lemire's method on buffered bytes, with
+rejection threshold (255 - 3) % 4 = 0, so it never rejects: each draw
+is (4 byte) >> 8 = byte >> 6 of one byte.  A call of n draws reads
+ceil(n / 4) 32-bit halves and uses the first n of their bytes, low byte
+first.  It reads the high half that the last call left unused, if
+there is one, then the halves of new words, each word's low half before
+its high half; a call that ends on a low half leaves the high half to
+the next call.  So the calls read the words' halves in
+stream order, none skipped and none read twice: block k's first half is
+half H_k, whose first byte is byte 4 H_k.  A part whose rows start at
+row offset o in block k therefore reads bytes from b = 4 H_k + o * width
 on, and draws them alone: a PCG64 set to the share's start state and
 advanced by b // 8 words starts at the word that holds byte b, and the
-first b % 8 of _draw's draws from it are dropped (_draw_at).  So every
-count depends on (samples, horizon, seed, w) and not on the count of
-parts.
+first b % 8 bytes of its words are dropped (_draw_at).  So every count
+depends on (samples, horizon, seed, w) and not on the count of parts.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ _SUB = 32
 # float32, which keeps the sub-block matmul at most 8,192 rows (see
 # estimate_zero_area_prob)
 _TWO_LEVEL_SUBS = 8_192
-# raw 64-bit words read per chunk by _draw, 256 KiB
+# raw 64-bit words read per chunk by _draw_at, 256 KiB
 _RAW_WORDS = 1 << 15
 # the increment of each of the four equally likely draws
 _STEPS = (1, -1, 0, 0)
@@ -144,52 +150,6 @@ def _increments(u):
     up = (u == _STEPS.index(1)).view(np.int8)
     up -= (u == _STEPS.index(-1)).view(np.int8)
     return up
-
-
-def _draw(bit_gen, out):
-    """Fill the C-contiguous int8 array out with the draws that
-    Generator(bit_gen).integers makes for low 0, high 4, size out.shape
-    and dtype int8, and leave bit_gen in the state that call leaves.
-
-    For a range of 4, numpy's bounded int8 draw is Lemire's method on
-    buffered bytes, with rejection threshold (255 - 3) % 4 = 0, so it
-    never rejects: each draw is (4 byte) >> 8 = byte >> 6 of one byte.
-    One call reads ceil(n / 4) 32-bit halves, each low byte first, and
-    each new 64-bit word gives its low half first, so the bytes of the
-    raw words in little-endian order are the draws' bytes.  A call
-    starts with the high half that the last one left unused (PCG64's
-    has_uint32), and one that ends on a low half leaves the high half
-    for the next.  The words are read in chunks of _RAW_WORDS and
-    shifted straight into out.
-    """
-    import numpy as np
-
-    flat = out.reshape(-1).view(np.uint8)
-    n = flat.size
-    if not n:
-        return out
-    state = bit_gen.state
-    pos = 0
-    if state["has_uint32"]:
-        pos = min(4, n)
-        half = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
-        np.right_shift(half[:pos], 6, out=flat[:pos])
-    left = n - pos
-    words = -(-left // 8)
-    for start in range(0, words, _RAW_WORDS):
-        raw = bit_gen.random_raw(min(_RAW_WORDS, words - start))
-        raw = raw.astype("<u8", copy=False).view(np.uint8)
-        end = min(pos + raw.size, n)
-        np.right_shift(raw[: end - pos], 6, out=flat[pos:end])
-        pos = end
-    # random_raw leaves has_uint32 alone, so set it as the buffered
-    # draw would: numpy keeps the last new word's high half either way
-    state = bit_gen.state
-    state["has_uint32"] = int(0 < left % 8 <= 4)
-    if words:
-        state["uinteger"] = int(raw.view("<u4")[-1])
-    bit_gen.state = state
-    return out
 
 
 def _step_scan(d, y, area):
@@ -354,17 +314,21 @@ def _scan_block(u, y, area) -> tuple[int, int, int]:
 
 
 def _draw_at(bit_gen, state, first, n):
-    """The n draws at bytes [first, first + n) of the raw words' byte
-    stream from state (module docstring): bit_gen is set to state,
-    advanced to the word that holds byte first, and _draw's draws of
-    that word's bytes before it are dropped."""
+    """The n int8 draws at bytes [first, first + n) of the raw words' byte
+    stream from state (module docstring): bit_gen is set to state and
+    advanced to the word that holds byte first, and its raw words are
+    read in chunks of _RAW_WORDS, each byte shifted right by 6."""
     import numpy as np
 
     bit_gen.state = state
-    # advance also drops a carried high half
     bit_gen.advance(first // 8)
     skip = first % 8
-    return _draw(bit_gen, np.empty(skip + n, dtype=np.int8))[skip:]
+    out = np.empty(skip + n, dtype=np.uint8)
+    for pos in range(0, out.size, 8 * _RAW_WORDS):
+        raw = bit_gen.random_raw(min(_RAW_WORDS, -(-(out.size - pos) // 8)))
+        raw = raw.astype("<u8", copy=False).view(np.uint8)
+        np.right_shift(raw[: out.size - pos], 6, out=out[pos : pos + raw.size])
+    return out[skip:].view(np.int8)
 
 
 def _send(fd, counts):
@@ -418,7 +382,8 @@ def _run_part(bit_gen, sizes, horizon, p, exchange):
         y = y[:alive]
         area = area[:alive]
         done += width
-        # the 32-bit halves that one _draw call of the whole block reads
+        # the 32-bit halves that one Generator.integers call of the whole
+        # block reads
         halves += -(-total * width // 4)
         counts = exchange((zero, negative, alive))
     return tuple(map(sum, zip(*counts)))
@@ -463,18 +428,23 @@ def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int
     Generator(PCG64(...)).integers would give for int8 draws in [0, 4)
     of shape (alive, width), read from the PCG64's raw words.
 
-    The rows are split into P = min(os.cpu_count(), samples) near-equal
-    contiguous parts, P = 1 without os.fork: this process runs part 0
-    and forks one child for each other part, with a pipe up to this
-    process and one down.  After each block this process reads every
-    child's counts, one triple each, and sends each child all of them.
-    Every child is reaped on return and on error; the counts do not
-    depend on P.
+    The rows are split into P = min(the CPUs this process may run on,
+    samples) near-equal contiguous parts, P = 1 without os.fork: the CPUs
+    are os.sched_getaffinity's where the platform has it, and
+    os.cpu_count() elsewhere.  This process runs part 0 and forks one
+    child for each other part, with a pipe up to this process and one
+    down.  After each block this process reads every child's counts, one
+    triple each, and sends each child all of them.  Every child is reaped
+    on return and on error; the counts do not depend on P.
     """
     import numpy as np
 
     bit_gen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(w,)))
-    parts = min(os.cpu_count() or 1, samples) if hasattr(os, "fork") else 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    parts = min(cpus, samples) if hasattr(os, "fork") else 1
     sizes = [samples // parts + (p < samples % parts) for p in range(parts)]
     part = functools.partial(_run_part, bit_gen, sizes, horizon)
     # this process's pipe ends, up then down for each child once forked,
@@ -527,12 +497,13 @@ def estimate_zero_area_prob(
     its first block fits the budget, and share w runs on the substream
     spawned from (seed, w).  workers counts substreams, not processes.
     The shares run one after another, each split by rows over P =
-    min(os.cpu_count(), the share's walks) processes: this one and P - 1
-    forked from it, each holding only its own rows of the share's int8
-    block of at most 4 MB.  Each part reads its rows' bytes alone from
-    an advanced PCG64, which gives every block exactly the draws of one
-    sequential _draw call (the byte-stream fact, proved in the module
-    docstring), so the counts do not depend on P.  Without os.fork, P is
+    min(the CPUs this process may run on, the share's walks) processes:
+    this one and P - 1 forked from it, each holding only its own rows of
+    the share's int8 block of at most 4 MB.  Each part reads its rows'
+    bytes alone from an advanced PCG64, which gives every block exactly
+    the draws of one sequential Generator.integers call (the byte-stream
+    fact, proved in the module docstring), so the counts do not depend
+    on P.  Without os.fork, P is
     1.  A part that raises, or a child that dies, makes this raise, and
     every child is reaped before it returns or raises.  Python 3.12+ may
     warn that forking a process with threads can deadlock: numpy's idle

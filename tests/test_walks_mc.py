@@ -15,6 +15,18 @@ from treebridges import bridges, series, walks_mc
 from treebridges.walks_mc import WalkOutcome
 
 
+def _allow_cpus(monkeypatch, cpus):
+    # the CPUs this process may run on, which fix a share's part count
+    affinity = set(range(cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
+def _generator(seed, w):
+    # numpy's own Generator on substream (seed, w): the reference stream
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 def test_forced_streams():
     assert walks_mc.stop_time_outcome([0], 10) == WalkOutcome.AREA_ZERO
     assert walks_mc.stop_time_outcome([-1, 1], 10) == WalkOutcome.AREA_NEGATIVE
@@ -73,7 +85,7 @@ def test_estimate_memory_stays_within_the_block_budget(monkeypatch):
     # near 11 MiB, and near 33 MiB in one block of 1e6 walks; one CPU
     # keeps every share's rows in this process, where tracemalloc sees
     # them
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     tracemalloc.start()
     try:
         est = walks_mc.estimate_zero_area_prob(1_000_000, 16, seed=5)
@@ -91,7 +103,7 @@ def test_one_share_peaks_at_its_block_state_and_one_tile(monkeypatch):
     # of the origin head, 8,192 rows by the first 16 or 32 steps, 1 MiB or
     # 2 MiB each, the widest head there is; 12 MiB leaves room for the
     # head's compares.  One CPU keeps the whole share in this process
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     for samples, width in ((250_000, 16), (125_000, 32)):
         tracemalloc.start()
         try:
@@ -106,8 +118,7 @@ def _whole_block_run_worker(samples, horizon, seed, w):
     # the scan that read each block whole from numpy's own int8 draws on
     # substream (seed, w), kept as the reference for the tiled one
     steps = np.array(walks_mc._STEPS, dtype=np.int64)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(w,))
-    rng = np.random.Generator(np.random.PCG64(ss))
+    rng = _generator(seed, w)
     y = np.zeros(samples, dtype=np.int64)
     area = np.zeros(samples, dtype=np.int64)
     zero = negative = 0
@@ -154,28 +165,13 @@ _DRAW_SIZES = (
 )
 
 
-def test_draw_is_generator_integers_call_by_call():
-    ss = np.random.SeedSequence(entropy=21, spawn_key=(0,))
-    want = np.random.Generator(np.random.PCG64(ss))
-    bit_gen = np.random.PCG64(ss)
-    for size in _DRAW_SIZES:
-        expected = want.integers(0, 4, size=size, dtype=np.int8)
-        got = walks_mc._draw(bit_gen, np.empty(size, dtype=np.int8))
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected), size
-        # the carried high half too, so the next call starts where
-        # numpy's would
-        assert bit_gen.state == want.bit_generator.state, size
-
-
 RAW_BYTES = 8 * walks_mc._RAW_WORDS
 
 
 def test_draw_at_is_a_slice_of_one_sequential_draw():
-    ss = np.random.SeedSequence(entropy=21, spawn_key=(0,))
-    bit_gen = np.random.PCG64(ss)
-    whole = walks_mc._draw(bit_gen, np.empty(3 * RAW_BYTES, dtype=np.int8))
-    start = np.random.PCG64(ss).state
+    rng = _generator(21, 0)
+    start = rng.bit_generator.state
+    whole = rng.integers(0, 4, size=3 * RAW_BYTES, dtype=np.int8)
     # every start mod 8, in a word's low and high half, one word in or
     # not; ranges across the sequential draw's first chunk of raw words;
     # and ranges that read more than one chunk themselves
@@ -183,21 +179,23 @@ def test_draw_at_is_a_slice_of_one_sequential_draw():
     cases += [(RAW_BYTES - b, 2 * b + 1) for b in (1, 4, 5, 8)]
     cases += [(3, RAW_BYTES + 6), (RAW_BYTES + 7, RAW_BYTES + 9)]
     for first, n in cases:
-        got = walks_mc._draw_at(bit_gen, start, first, n)
+        got = walks_mc._draw_at(rng.bit_generator, start, first, n)
+        assert got.dtype == np.int8
         assert np.array_equal(got, whole[first : first + n]), (first, n)
 
 
 def test_draw_at_gives_every_call_of_a_sequential_draw():
-    # each _draw call of _DRAW_SIZES starts at byte 4 H for the H halves
-    # the calls before it read, a carried high half when H is odd
-    ss = np.random.SeedSequence(entropy=21, spawn_key=(0,))
-    start = np.random.PCG64(ss).state
-    bit_gen = np.random.PCG64(ss)
+    # each Generator.integers call of _DRAW_SIZES reads the bytes from
+    # 4 H on, for the H halves the calls before it read, a carried high
+    # half when H is odd
+    rng = _generator(21, 0)
+    start = rng.bit_generator.state
+    bit_gen = np.random.PCG64()
     halves = 0
     carried = 0
     for size in _DRAW_SIZES:
-        want = walks_mc._draw(bit_gen, np.empty(size, dtype=np.int8)).reshape(-1)
-        got = walks_mc._draw_at(np.random.PCG64(ss), start, 4 * halves, want.size)
+        want = rng.integers(0, 4, size=size, dtype=np.int8).reshape(-1)
+        got = walks_mc._draw_at(bit_gen, start, 4 * halves, want.size)
         assert np.array_equal(got, want), size
         carried += halves % 2
         halves += -(-want.size // 4)
@@ -208,7 +206,7 @@ def test_every_block_holds_the_draws_of_one_sequential_draw_call(monkeypatch):
     # the second and third blocks of this share, 23 x 173,913 and
     # 9 x 18,087 draws, end inside a 32-bit half, so the next block
     # starts at the next half; one CPU keeps every block in this process
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     blocks = []
     scan = walks_mc._scan_block
     monkeypatch.setattr(
@@ -216,9 +214,9 @@ def test_every_block_holds_the_draws_of_one_sequential_draw_call(monkeypatch):
     )
     walks_mc._run_worker(500, 200_000, 2, 0)
     assert [u.size % 4 for u in blocks] == [0, 3, 3]
-    bit_gen = np.random.PCG64(np.random.SeedSequence(entropy=2, spawn_key=(0,)))
+    rng = _generator(2, 0)
     for u in blocks:
-        assert np.array_equal(u, walks_mc._draw(bit_gen, np.empty_like(u))), u.shape
+        assert np.array_equal(u, rng.integers(0, 4, size=u.shape, dtype=np.int8)), u.shape
 
 
 @pytest.mark.parametrize(
@@ -332,7 +330,7 @@ def test_the_count_of_parts_changes_no_count(
 ):
     # the pinned streams split by rows over 1, 2 and 3 processes
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus)
         assert walks_mc._run_worker(samples, horizon, seed, 0) == counts, cpus
 
 
@@ -365,10 +363,10 @@ def test_a_part_with_no_rows_left_runs_on_with_the_others(parent_block_rows, mon
     # at seed 0 part 0's three rows all stop in the first block while a
     # walker of another part lives on into the second, where part 0
     # draws and scans nothing
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _allow_cpus(monkeypatch, 3)
     got = walks_mc._run_worker(9, 1_000_000, 0, 0)
     assert parent_block_rows == [3, 0]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     assert walks_mc._run_worker(9, 1_000_000, 0, 0) == got
 
 
@@ -376,11 +374,11 @@ def test_a_share_with_fewer_walks_than_cpus_runs_one_part_per_walk(
     parent_block_rows, forks, monkeypatch
 ):
     for samples in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _allow_cpus(monkeypatch, 1)
         want = [walks_mc._run_worker(samples, 300, seed, 1) for seed in range(6)]
         parent_block_rows.clear()
         forks.clear()
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _allow_cpus(monkeypatch, 3)
         assert [walks_mc._run_worker(samples, 300, seed, 1) for seed in range(6)] == want
         # one walk per part: this process scans at most one row
         assert set(parent_block_rows) <= {0, 1}
@@ -620,7 +618,7 @@ def test_two_share_stream_is_pinned(monkeypatch):
     monkeypatch.setattr(
         walks_mc, "_run_worker", lambda *a: counts.append(run_worker(*a)) or counts[-1]
     )
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     assert walks_mc.estimate_zero_area_prob(20_000, 200, seed=1, workers=2) == want
     assert counts == [(5152, 3336, 1512), (5173, 3339, 1488)]
 
@@ -630,26 +628,34 @@ def _assert_no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4, 10**12])
-def test_each_share_forks_one_child_per_other_part(workers, forks, monkeypatch):
-    # 10 walks in shares of 10, 5 + 5, 3 + 3 + 2 + 2 or 1 each, with
-    # three CPUs: P - 1 forks for each share of P = min(3, its walks)
+@pytest.mark.parametrize(
+    "samples, workers, cpus",
+    [(10, 1, 3), (10, 2, 3), (10, 4, 3), (10, 10**12, 3), (3000, 1, 1)],
+    ids=["1", "2", "4", "1000000000000", "one-cpu-of-three"],
+)
+def test_each_share_forks_one_child_per_other_part(samples, workers, cpus, forks, monkeypatch):
+    # 10 walks in shares of 10, 5 + 5, 3 + 3 + 2 + 2 or 1 each, on three
+    # CPUs: P - 1 forks for each share of P = min(3, its walks); and one
+    # share of 3,000 walks on a host of three CPUs, of which this process
+    # may run on one, forks nothing
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    got = walks_mc.estimate_zero_area_prob(10, 50, 3, workers)
-    shares = min(10, workers)
-    sizes = [10 // shares + (w < 10 % shares) for w in range(shares)]
-    assert len(forks) == sum(min(3, n) - 1 for n in sizes)
+    _allow_cpus(monkeypatch, cpus)
+    got = walks_mc.estimate_zero_area_prob(samples, 50, 3, workers)
+    shares = min(samples, workers)
+    sizes = [samples // shares + (w < samples % shares) for w in range(shares)]
+    assert len(forks) == sum(min(cpus, n) - 1 for n in sizes)
     _assert_no_child_is_left()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert walks_mc.estimate_zero_area_prob(10, 50, 3, workers) == got
-    assert len(forks) == sum(min(3, n) - 1 for n in sizes)
+    _allow_cpus(monkeypatch, 1)
+    assert walks_mc.estimate_zero_area_prob(samples, 50, 3, workers) == got
+    assert len(forks) == sum(min(cpus, n) - 1 for n in sizes)
 
 
 def test_without_fork_a_share_runs_in_one_part(forks, monkeypatch):
+    _allow_cpus(monkeypatch, 3)
     want = walks_mc._run_worker(3000, 5000, 0, 0)
     monkeypatch.delattr(os, "fork")
     assert walks_mc._run_worker(3000, 5000, 0, 0) == want == (1545, 1258, 197)
-    assert len(forks) == min(os.cpu_count() or 1, 3000) - 1
+    assert len(forks) == 2
 
 
 @pytest.fixture
@@ -665,7 +671,7 @@ def fail_in(monkeypatch, deadline):
             return scan(u, y, area)
 
         monkeypatch.setattr(walks_mc, "_scan_block", scan_or_fail)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _allow_cpus(monkeypatch, 3)
 
     return patch
 
