@@ -152,7 +152,7 @@ def test_increment_map_is_the_step_table():
     assert tuple(inc.tolist()) == walks_mc._STEPS
 
 
-# sizes for the draw test, in call order: n mod 8 = 0, 5, 6, 7, 1, 2, 3
+# sizes for the draw tests, in call order: n mod 8 = 0, 5, 6, 7, 1, 2, 3
 # and 4 from a fresh word, each of 1, 2 and 3 right after a call that
 # left a high half unused, 12 after one (the carried half, then one whole
 # word), one size past a chunk of raw words, and blocks of the shapes
@@ -166,6 +166,27 @@ _DRAW_SIZES = (
 
 
 RAW_BYTES = 8 * walks_mc._RAW_WORDS
+
+
+def test_draw_is_generator_integers_call_by_call():
+    # the module docstring's byte-stream fact, on numpy itself: each
+    # Generator.integers call of _DRAW_SIZES has the shape asked for and
+    # holds bytes [4 H, 4 H + n) of the raw words' little-endian bytes,
+    # each shifted right by 6, for the H halves the calls before it read;
+    # and it leaves the high half of a word unused exactly when H is odd
+    counts = [math.prod(s) if isinstance(s, tuple) else s for s in _DRAW_SIZES]
+    words = -(-sum(-(-n // 4) for n in counts) // 2)
+    raw = _generator(21, 0).bit_generator.random_raw(words).astype("<u8")
+    stream = (raw.view(np.uint8) >> 6).astype(np.int8)
+    rng = _generator(21, 0)
+    halves = 0
+    for size, n in zip(_DRAW_SIZES, counts):
+        got = rng.integers(0, 4, size=size, dtype=np.int8)
+        assert got.shape == (size if isinstance(size, tuple) else (size,))
+        want = stream[4 * halves : 4 * halves + n]
+        assert np.array_equal(got.reshape(-1), want), size
+        halves += -(-n // 4)
+        assert rng.bit_generator.state["has_uint32"] == halves % 2, size
 
 
 def test_draw_at_is_a_slice_of_one_sequential_draw():
