@@ -331,29 +331,17 @@ def _draw_at(bit_gen, state, first, n):
     return out[skip:].view(np.int8)
 
 
-def _send(fd, counts):
-    """Write the (zero, negative, alive) triples counts to the pipe fd."""
-    import numpy as np
-
-    data = np.asarray(counts, dtype="<i8").tobytes()
-    while data:
-        data = data[os.write(fd, data) :]
-
-
-def _receive(fd, parts):
-    """Read parts (zero, negative, alive) triples from the pipe fd; an
-    end of the pipe before them, from a part that died or raised,
-    raises."""
-    import numpy as np
-
-    size = 24 * parts
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
+def _receive(sock, parts):
+    """Read parts (zero, negative, alive) triples of int64 from the socket
+    sock; an end of the stream before them, from a part that died or
+    raised, raises."""
+    data = memoryview(bytearray(24 * parts))
+    got = 0
+    while got < data.nbytes:
+        if not (n := sock.recv_into(data[got:])):
             raise RuntimeError("a Monte Carlo part ended without sending its counts")
-        data += chunk
-    return np.frombuffer(data, dtype="<i8").reshape(parts, 3).tolist()
+        got += n
+    return data.cast("q", (parts, 3)).tolist()
 
 
 def _run_part(bit_gen, sizes, horizon, p, exchange):
@@ -389,23 +377,23 @@ def _run_part(bit_gen, sizes, horizon, p, exchange):
     return tuple(map(sum, zip(*counts)))
 
 
-def _run_child(part, fds, up, down, parts):
-    """In a forked child: close the pipe ends in fds other than up and
-    down, then run part(exchange), sending this part's counts up and
-    reading every part's from down.  It leaves only through os._exit,
-    with code 0 once the part has sent its last counts."""
-    code = 1
+def _run_child(part, sock, others, parts):
+    """In a forked child: close others, the parent's socket ends that it
+    inherited, then run part(exchange), sending this part's counts on
+    sock and reading every part's from it.  It leaves only through
+    os._exit, with code 0 once the part has sent its last counts."""
+    import numpy as np
+
     try:
-        for fd in fds:
-            if fd not in (up, down):
-                os.close(fd)
+        for other in others:
+            other.close()
 
         def exchange(counts):
-            _send(up, [counts])
-            return _receive(down, parts)
+            sock.sendall(np.asarray([counts], dtype=np.int64))
+            return _receive(sock, parts)
 
         part(exchange)
-        code = 0
+        os._exit(0)
     except Exception:
         # the parent raises for the missing counts; the cause shows here
         import traceback
@@ -413,7 +401,7 @@ def _run_child(part, fds, up, down, parts):
         traceback.print_exc()
         sys.stderr.flush()
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
 def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int, int]:
@@ -431,11 +419,10 @@ def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int
     The rows are split into P = min(the CPUs this process may run on,
     samples) near-equal contiguous parts, P = 1 without os.fork: the CPUs
     are os.sched_getaffinity's where the platform has it, and
-    os.cpu_count() elsewhere.  This process runs part 0 and forks one
-    child for each other part, with a pipe up to this process and one
-    down.  After each block this process reads every child's counts, one
-    triple each, and sends each child all of them.  Every child is reaped
-    on return and on error; the counts do not depend on P.
+    os.cpu_count() elsewhere.  This process runs part 0 and forks a
+    child on a socket pair for each other part; after each block it reads
+    each child's counts and sends them all to every child, and it reaps
+    every child on return and on error.  The counts do not depend on P.
     """
     import numpy as np
 
@@ -447,36 +434,32 @@ def _run_worker(samples: int, horizon: int, seed: int, w: int) -> tuple[int, int
     parts = min(cpus, samples) if hasattr(os, "fork") else 1
     sizes = [samples // parts + (p < samples % parts) for p in range(parts)]
     part = functools.partial(_run_part, bit_gen, sizes, horizon)
-    # this process's pipe ends, up then down for each child once forked,
-    # and the next child's own two ends until it is
-    fds = []
+    # this process's end of each child's socket pair
+    socks = []
     pids = []
     try:
         for p in range(1, parts):
-            up, child_up = os.pipe()
-            fds += (up, child_up)
-            child_down, down = os.pipe()
-            fds += (child_down, down)
-            pid = os.fork()
-            if not pid:
-                _run_child(functools.partial(part, p), fds, child_up, child_down, parts)
+            import socket  # only a process that forks loads it
+            sock, child_sock = socket.socketpair()
+            socks.append(sock)
+            with child_sock:
+                pid = os.fork()
+                if not pid:
+                    _run_child(functools.partial(part, p), child_sock, socks, parts)
             pids.append(pid)
-            for fd in (child_up, child_down):
-                fds.remove(fd)
-                os.close(fd)
 
         def exchange(counts):
-            counts = [counts, *(c for up in fds[::2] for c in _receive(up, 1))]
-            for down in fds[1::2]:
-                _send(down, counts)
+            counts = [counts, *(c for sock in socks for c in _receive(sock, 1))]
+            for sock in socks:
+                sock.sendall(np.asarray(counts, dtype=np.int64))
             return counts
 
         return part(0, exchange)
     finally:
-        # the children's pipes end here, so a child still waiting for
+        # the children's sockets end here, so a child still waiting for
         # counts leaves before it is reaped
-        for fd in fds:
-            os.close(fd)
+        for sock in socks:
+            sock.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
