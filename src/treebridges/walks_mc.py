@@ -381,7 +381,9 @@ def _run_child(part, sock, others, parts):
     """In a forked child: close others, the parent's socket ends that it
     inherited, then run part(exchange), sending this part's counts on
     sock and reading every part's from it.  It leaves only through
-    os._exit, with code 0 once the part has sent its last counts."""
+    os._exit, with code 0 once the part has sent its last counts, and
+    with code 1 and no traceback once the parent's end has closed: the
+    parent raised, and its error names the cause."""
     import numpy as np
 
     try:
@@ -389,8 +391,11 @@ def _run_child(part, sock, others, parts):
             other.close()
 
         def exchange(counts):
-            sock.sendall(np.asarray([counts], dtype=np.int64))
-            return _receive(sock, parts)
+            try:
+                sock.sendall(np.asarray([counts], dtype=np.int64))
+                return _receive(sock, parts)
+            except (RuntimeError, BrokenPipeError, ConnectionResetError):
+                os._exit(1)
 
         part(exchange)
         os._exit(0)

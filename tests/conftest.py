@@ -33,37 +33,52 @@ def unpack():
 # the import contract: (name, step, modules that must still be unloaded
 # after it), run in order in one fresh interpreter.  Importing the CLI
 # loads none of numpy, multiprocessing and concurrent.futures (rho-mc
-# forks its own processes, with no process pool); numpy costs a cold
-# command about 0.1 s of import, and the sampler, the bridge DP and the
-# Frobenius sweep run on Python ints alone.  Without a bytecode cache
-# dataclasses (with inspect, ast and dis) costs a cold start about 6 ms
-# and json and csv about 2 ms each; json loads only to print JSON, and csv
-# never, since the CSV tables join their rows themselves
+# forks its own processes, with no process pool), and no step loads
+# socket, which only a process that forks imports (about 4 ms after
+# numpy); numpy costs a cold command about 0.1 s of import, and the
+# sampler, the bridge DP and the Frobenius sweep run on Python ints
+# alone.  Without a bytecode cache dataclasses (with inspect, ast and
+# dis) costs a cold start about 6 ms and json and csv about 2 ms each;
+# json loads only to print JSON, and csv never, since the CSV tables
+# join their rows themselves
 IMPORT_STEPS = [
     (
         "import",
         "import treebridges.cli as cli",
-        {"numpy", "multiprocessing", "concurrent.futures", "dataclasses", "inspect", "json", "csv"},
+        {
+            "numpy",
+            "socket",
+            "multiprocessing",
+            "concurrent.futures",
+            "dataclasses",
+            "inspect",
+            "json",
+            "csv",
+        },
     ),
-    ("verify", "assert cli.main(['verify', '--suite', 'all']) == 0", {"numpy", "json", "csv"}),
+    (
+        "verify",
+        "assert cli.main(['verify', '--suite', 'all']) == 0",
+        {"numpy", "socket", "json", "csv"},
+    ),
     (
         "sampler",
         "from treebridges import bridges\n"
         "bridges.sample_uniform_graphical_bridge(30, 1)\n"
         "bridges.graphical_bridge_counts(30)",
-        {"numpy"},
+        {"numpy", "socket"},
     ),
     (
         "tables G",
         "assert cli.main(['tables', '--which', 'G', '--n-max', '60']) == 0",
-        {"numpy", "json"},
+        {"numpy", "socket", "json"},
     ),
     (
         "tables T",
         "assert cli.main(['tables', '--which', 'T', '--n-max', '60']) == 0",
-        {"numpy", "json", "csv"},
+        {"numpy", "socket", "json", "csv"},
     ),
-    ("constants", "assert cli.main(['constants', '--digits', '12']) == 0", {"numpy"}),
+    ("constants", "assert cli.main(['constants', '--digits', '12']) == 0", {"numpy", "socket"}),
 ]
 
 

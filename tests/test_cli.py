@@ -372,7 +372,7 @@ def test_module_entry_point_subprocess():
 
 
 def test_the_cli_and_constants_do_not_load_numpy(modules_loaded_by_step):
-    # importing the CLI loads none of numpy, multiprocessing and
+    # importing the CLI loads none of numpy, socket, multiprocessing and
     # concurrent.futures: rho-mc forks its own processes, with no pool
     assert modules_loaded_by_step["import"] == set()
     assert modules_loaded_by_step["constants"] == set()

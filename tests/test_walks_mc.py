@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import random
@@ -717,12 +718,34 @@ def test_a_child_that_dies_makes_the_estimate_raise(fail_in):
     _assert_no_child_is_left()
 
 
-def test_a_parent_part_that_raises_reaps_every_child(fail_in):
-    # the children, waiting for the counts, find their pipes closed
+def test_a_parent_part_that_raises_reaps_every_child(fail_in, capfd):
+    # the children, waiting for the counts, find their sockets closed
     fail_in("parent", _raise_value_error)
     with pytest.raises(ValueError, match="a failing part"):
         walks_mc.estimate_zero_area_prob(1000, 100, 1)
     _assert_no_child_is_left()
+    # and leave without a word: the parent's error names the cause
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize(
+    "where, fail, raises",
+    [
+        ("children", lambda: None, None),
+        ("children", _raise_value_error, RuntimeError),
+        ("children", lambda: os.kill(os.getpid(), signal.SIGKILL), RuntimeError),
+        ("parent", _raise_value_error, ValueError),
+    ],
+    ids=["clean", "child-raises", "child-dies", "parent-raises"],
+)
+def test_no_descriptor_outlives_a_run(where, fail, raises, fail_in):
+    # a share split over three processes closes every socket it opened
+    fail_in(where, fail)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(raises) if raises else contextlib.nullcontext():
+        walks_mc.estimate_zero_area_prob(1000, 100, 1)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("exc", [SystemExit, KeyboardInterrupt])
